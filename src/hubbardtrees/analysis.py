@@ -408,52 +408,120 @@ def _totient(n: int) -> int:
 # core entropy
 
 
+_PERRON_BUDGET = 100_000  # power steps per component; 699 suffice to period 12
+
+
 def perron_root(matrix: np.ndarray) -> float:
     """Spectral radius of a nonnegative integer matrix.
 
-    Power iteration on M + I (the shift makes irreducible blocks
-    primitive), with the relative Rayleigh quotient stable over three
-    consecutive steps; cross-checked against an exact integer
-    Collatz-Wielandt bracket: for any positive integer vector w,
-    min_i (Aw)_i / w_i  <=  rho(A)  <=  max_i (Aw)_i / w_i.
-    """
-    n = matrix.shape[0]
-    if n == 0:
-        return 0.0
-    a = matrix.astype(float) + np.eye(n)
-    v = np.ones(n)
-    rayleigh = None
-    stable = 0
-    cap = 50000
-    checkpoint = None
-    for step in range(1, cap + 1):
-        w = a @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0  # unreachable for row sums >= 1
-        w /= nrm
-        r = float(w @ (a @ w) / (w @ w))
-        if rayleigh is not None and abs(r - rayleigh) <= 1e-13 * max(r, 1.0):
-            stable += 1
-        else:
-            stable = 0
-        rayleigh = r
-        v = w
-        if step == cap // 2:
-            checkpoint = r
-        if stable >= 3:
-            break
-    else:
-        # no stabilization: a defective dominant block converges like
-        # rho + c/step, which two-point extrapolation removes
-        rayleigh = 2.0 * rayleigh - checkpoint
+    The spectrum of M is the union of the spectra of the diagonal blocks
+    of its strongly connected components (edge i -> j where
+    M[i, j] > 0), so rho(M) is the maximum over components:
 
-    lo, hi = _collatz_wielandt(matrix)
-    if not (lo - 1e-9 <= rayleigh <= hi + 1e-9):
-        raise MeetInconsistency(
-            f"power iteration {rayleigh} escapes exact bracket [{lo}, {hi}]"
+    - a component with no internal entry (a vertex without a loop) has
+      rho = 0;
+    - a non-trivial component whose internal rows all sum to 1 is a
+      single cycle, a permutation block, with rho = 1 exactly;
+    - every other component A is irreducible with integer row sums >= 1,
+      not all equal to 1, so rho(A) > 1.  Power iteration on A + I,
+      which is primitive, stops when the Collatz-Wielandt bracket
+      min_i (Bv)_i / v_i <= rho(B) <= max_i (Bv)_i / v_i of the positive
+      iterate v closes to hi - lo <= 1e-13 hi, and returns its midpoint.
+      The estimate is cross-checked against the same bracket computed in
+      exact integer arithmetic.
+
+    Zero-entropy trees thus get exactly 1.0, even where their matrix has
+    a defective eigenvalue 1.  A component that does not converge within
+    100,000 power steps raises DepthBudgetExceeded.
+    """
+    matrix = np.asarray(matrix)
+    rho = 0.0
+    succ = [np.flatnonzero(row).tolist() for row in matrix]
+    for comp in _strong_components(succ):
+        comp.sort()
+        block = matrix[np.ix_(comp, comp)]
+        if not block.any():
+            continue
+        if (block.sum(axis=1) == 1).all():
+            rho = max(rho, 1.0)
+        else:
+            rho = max(rho, _irreducible_root(block))
+    return rho
+
+
+def _strong_components(succ: List[List[int]]) -> List[List[int]]:
+    """Strongly connected components of the graph i -> succ[i]
+    (Tarjan's algorithm with an explicit stack)."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    comps: List[List[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def _irreducible_root(block: np.ndarray) -> float:
+    """rho of an irreducible block with rho > 1, by power iteration on
+    the primitive B = block + I until the float Collatz-Wielandt bracket
+    of rho(B) closes."""
+    b = block.astype(float) + np.eye(block.shape[0])
+    v = np.ones(block.shape[0])
+    for _ in range(_PERRON_BUDGET):
+        w = b @ v
+        ratios = w / v
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= 1e-13 * hi:
+            break
+        v = w / hi
+    else:
+        raise DepthBudgetExceeded(
+            f"Perron iteration did not converge in {_PERRON_BUDGET} steps "
+            f"on a {block.shape[0]}-edge component"
         )
-    return rayleigh - 1.0
+    estimate = 0.5 * (lo + hi)
+    exact_lo, exact_hi = _collatz_wielandt(block)
+    if not (exact_lo - 1e-9 <= estimate <= exact_hi + 1e-9):
+        raise MeetInconsistency(
+            f"power iteration {estimate} escapes exact bracket "
+            f"[{exact_lo}, {exact_hi}]"
+        )
+    return estimate - 1.0
 
 
 def _collatz_wielandt(matrix: np.ndarray, iterations: int = 60

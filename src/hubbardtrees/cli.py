@@ -8,7 +8,6 @@ error, 3 depth budget exhausted, 4 mode mismatch (finite tree required).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import shlex
 import sys
 from fractions import Fraction
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="htree",
         description="Combinatorial Hubbard trees from kneading sequences",
     )
-    ap.add_argument("--batch", help="file of command lines to run concurrently")
+    ap.add_argument("--batch", help="file of command lines to run in order")
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("path", help="precritical points, gaps, Fatou intervals")
@@ -353,15 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _run_one(argv) -> tuple:
-    """(exit_code, output_text) for one parsed command line."""
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return (exc.code if exc.code else EXIT_PARSE), ""
-    if args.command is None:
-        return EXIT_PARSE, "error: no subcommand\n"
+def _call(args) -> tuple:
+    """(exit_code, text) of one subcommand: its output, or the one-line
+    error message for the exceptions that map to an exit code."""
     try:
         return 0, args.func(args)
     except (SequenceParseError, KneadingError, WrongDegree,
@@ -373,14 +366,25 @@ def _run_one(argv) -> tuple:
         return EXIT_MODE, f"error: finite tree required: {exc}\n"
 
 
+def _run_one(argv) -> tuple:
+    """(exit_code, output_text) for one parsed command line."""
+    ap = build_parser()
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        return (exc.code if exc.code else EXIT_PARSE), ""
+    if args.command is None:
+        return EXIT_PARSE, "error: no subcommand\n"
+    return _call(args)
+
+
 def _run_batch(path: str) -> int:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
     jobs = [shlex.split(ln) for ln in lines if ln and not ln.startswith("#")]
     worst = 0
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        results = list(pool.map(_run_one, jobs))
-    for argv, (code, text) in zip(jobs, results):
+    for argv in jobs:
+        code, text = _run_one(argv)
         sys.stdout.write(f"### {' '.join(argv)}\n")
         sys.stdout.write(text)
         if code:
@@ -398,20 +402,12 @@ def main(argv=None) -> int:
     if args.command is None:
         ap.print_help()
         return EXIT_PARSE
-    try:
-        out = args.func(args)
-    except (SequenceParseError, KneadingError, WrongDegree,
-            NonIncreasingAddress, NotStarPeriodic) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except DepthBudgetExceeded as exc:
-        sys.stderr.write(f"error: depth budget exhausted: {exc}\n")
-        return EXIT_BUDGET
-    except TruncatedTree as exc:
-        sys.stderr.write(f"error: finite tree required: {exc}\n")
-        return EXIT_MODE
-    _emit(args, out)
-    return 0
+    code, text = _call(args)
+    if code:
+        sys.stderr.write(text)
+    else:
+        _emit(args, text)
+    return code
 
 
 if __name__ == "__main__":

@@ -38,7 +38,8 @@ class WrongDegree(HubbardTreeError, ValueError):
 
 
 class DepthBudgetExceeded(HubbardTreeError, RuntimeError):
-    """A truncated input ran out of trustworthy symbols before an answer."""
+    """A truncated input ran out of trustworthy symbols, or an iteration
+    ran out of its step budget, before an answer."""
 
 
 class TruncatedTree(HubbardTreeError, RuntimeError):

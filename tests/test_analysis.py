@@ -324,6 +324,18 @@ def test_entropy_airplane_golden_mean():
     assert h == pytest.approx(math.log(phi), abs=1e-9)
 
 
+@pytest.mark.parametrize("text,degree", [
+    ("(101*)", 2),
+    ("(11011*)", 2),
+    ("(1011101*)", 2),
+    ("(121*)", 3),
+    ("[|1,-2,1,*]", INF),
+])
+def test_entropy_exactly_zero(text, degree):
+    # transition matrices with a defective eigenvalue 1
+    assert core_entropy(build_tree(kneading(text, degree))) == 0.0
+
+
 def test_perron_root_against_eigvals():
     rng = np.random.default_rng(42)
     for _ in range(40):
@@ -333,6 +345,33 @@ def test_perron_root_against_eigvals():
         want = max(abs(np.linalg.eigvals(m.astype(float))))
         got = perron_root(m.astype(np.int64))
         assert got == pytest.approx(want, abs=1e-7)
+    # reducible: zero rows, no added identity
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        m = rng.integers(0, 2, size=(n, n)) * rng.integers(0, 2, size=(n, n))
+        m[rng.integers(0, n)] = 0
+        want = max(abs(np.linalg.eigvals(m.astype(float))))
+        assert perron_root(m) == pytest.approx(want, abs=1e-7)
+    assert perron_root([[1, 1], [0, 1]]) == 1.0
+    assert perron_root(np.zeros((3, 3), dtype=np.int64)) == 0.0
+    # a rho > 1 block over a defective unit block
+    m = np.array([[1, 1, 1, 0, 0],
+                  [1, 0, 0, 1, 0],
+                  [0, 0, 1, 1, 0],
+                  [0, 0, 0, 1, 1],
+                  [0, 0, 0, 0, 1]])
+    want = max(abs(np.linalg.eigvals(m.astype(float))))
+    assert perron_root(m) == pytest.approx(want, abs=1e-9)
+    assert perron_root(m) == pytest.approx((1 + 5 ** 0.5) / 2, abs=1e-12)
+
+
+def test_perron_root_budget_raises(monkeypatch):
+    from hubbardtrees import analysis
+    from hubbardtrees.errors import DepthBudgetExceeded
+
+    monkeypatch.setattr(analysis, "_PERRON_BUDGET", 3)
+    with pytest.raises(DepthBudgetExceeded):
+        perron_root(np.array([[1, 1], [1, 0]]))
 
 
 def test_entropy_requires_finite_tree():

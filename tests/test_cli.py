@@ -128,6 +128,7 @@ def test_address_infinite_prefix():
     ("(1*)", "0.000000000000"),
     ("1(0)", "0.693147180560"),
     ("(10*)", "0.481211825060"),
+    ("(1011101*)", "0.000000000000"),
 ])
 def test_entropy_values(nu, value):
     r = run("entropy", "--nu", nu)
