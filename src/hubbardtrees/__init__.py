@@ -46,7 +46,6 @@ from .symbolic import (
     PrefixSequence,
     STAR,
     angle_to_kneading,
-    canonicalize,
     diff,
     format_sequence,
     is_bifurcation,
@@ -54,8 +53,6 @@ from .symbolic import (
     parse_prefix,
     parse_sequence,
     precritical,
-    shift,
-    symbol_at,
     validate_kneading,
 )
 from .treebuild import HubbardTree, MarkovData, build_tree, markov_data, meet

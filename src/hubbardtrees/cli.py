@@ -366,25 +366,31 @@ def _call(args) -> tuple:
         return EXIT_MODE, f"error: finite tree required: {exc}\n"
 
 
-def _run_one(argv) -> tuple:
-    """(exit_code, output_text) for one parsed command line."""
-    ap = build_parser()
+def _run_one(ap, argv) -> tuple:
+    """(exit_code, stdout_text) of one batch line parsed with ap.  A line
+    with --out writes its output to that file, as main does, and leaves
+    nothing for stdout."""
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return (exc.code if exc.code else EXIT_PARSE), ""
     if args.command is None:
         return EXIT_PARSE, "error: no subcommand\n"
-    return _call(args)
+    code, text = _call(args)
+    if code == 0 and args.out:
+        _emit(args, text)
+        return code, ""
+    return code, text
 
 
 def _run_batch(path: str) -> int:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
     jobs = [shlex.split(ln) for ln in lines if ln and not ln.startswith("#")]
+    ap = build_parser()
     worst = 0
     for argv in jobs:
-        code, text = _run_one(argv)
+        code, text = _run_one(ap, argv)
         sys.stdout.write(f"### {' '.join(argv)}\n")
         sys.stdout.write(text)
         if code:

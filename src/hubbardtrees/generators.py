@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .analysis import address_chain, kneading_from_address
 from .errors import SequenceParseError
 from .symbolic import KneadingSequence, PrefixSequence, validate_kneading
@@ -36,10 +34,6 @@ def feigenbaum(depth: int) -> KneadingSequence:
     return validate_kneading(PrefixSequence(full, 2))
 
 
-def from_address(entries: Sequence[int]) -> KneadingSequence:
-    return kneading_from_address(list(entries))
-
-
 def make(name: str, *, depth: int = 16, params: str = "") -> KneadingSequence:
     """Generator dispatch for `--gen NAME` / `--gen NAME=PARAMS`."""
     if name == "staircase":
@@ -51,7 +45,7 @@ def make(name: str, *, depth: int = 16, params: str = "") -> KneadingSequence:
             entries = [int(x) for x in params.split(",") if x.strip()]
         except ValueError:
             raise SequenceParseError(f"bad address parameters {params!r}") from None
-        return from_address(entries)
+        return kneading_from_address(entries)
     if name == "prefix":
         from .symbolic import parse_prefix
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Tuple, Union
 
 from .errors import (
@@ -301,22 +301,6 @@ def seq_cmp(a: AnySeq, b: AnySeq) -> int:
 # module-level operations
 
 
-def symbol_at(s: AnySeq, i: int) -> Symbol:
-    return s.at(i)
-
-
-def shift(s: AnySeq, k: int) -> AnySeq:
-    return s.shift(k)
-
-
-def canonicalize(pre, per=None, degree=2) -> EPSeq:
-    """Canonical EPSeq from raw preperiod/period words (or from an EPSeq,
-    in which case it is the identity)."""
-    if isinstance(pre, EPSeq) and per is None:
-        return pre
-    return EPSeq(pre, per, degree)
-
-
 @lru_cache(maxsize=1 << 18)
 def _diff_exact(a: EPSeq, b: EPSeq):
     bound = max(len(a.pre), len(b.pre)) + math.lcm(len(a.per), len(b.per))
@@ -393,6 +377,11 @@ class KneadingSequence:
 
     def critical_point(self) -> AnySeq:
         """The sequence ``*nu``."""
+        return self._crit
+
+    @cached_property
+    def _crit(self) -> AnySeq:
+        # built once per instance: every tripod meet asks for it
         return precritical((), self)
 
     def critical_value(self) -> AnySeq:

@@ -64,6 +64,12 @@ def meet(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq:
     tripod branches at the current-level critical point itself.  A
     recurring state means the emitted word is the meet's eventually
     periodic itinerary.
+
+    For exact input, states are recorded only at steps where some point
+    reads the wildcard, and only once the step count passes the longest
+    preperiod.  Every cycle of states holds such a step, so the walk
+    stops one cycle after the first state it records on the cycle, while
+    short walks (most end at the critical point) record nothing.
     """
     if a.exact and b.exact and c.exact:
         return _meet_exact(a, b, c, nu)
@@ -71,70 +77,71 @@ def meet(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq:
 
 
 def _meet_exact(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> AnySeq:
-    # EPSeq values are interned, so identity is equality throughout
+    # EPSeq values are interned, so identity is equality.  Every slot is an
+    # input, the critical point or the cached tail of an earlier slot, so
+    # all stay alive during the walk and id() names a point throughout.
     nu_seq = nu.seq
     degree = a.degree
     lcm = math.lcm(len(a.per), len(b.per), len(c.per), len(nu_seq.per))
     maxpre = max(len(a.pre), len(b.pre), len(c.pre), len(nu_seq.pre)) + 1
-    # states recur within one cycle once recording starts; canonical-form
-    # absorption makes a late start harmless
-    record_after = maxpre + 2 * lcm + 8
     budget = (maxpre + lcm) * 8 + 64
-
+    crit = nu.critical_point()
+    star = STAR
     w: list = []
-    seen = None
-    flags = 0
+    seen: dict = {}
     steps = 0
-    crit = _critical_point(nu)
     while True:
         if a is b or a is c:
             return _prepend(w, a)
         if b is c:
             return _prepend(w, b)
         steps += 1
-        if seen is not None:
-            key = (a, b, c, flags)
-            prev = seen.get(key)
-            if prev is not None:
-                return EPSeq(tuple(w[:prev]), tuple(w[prev:]), degree)
-            seen[key] = len(w)
-        elif steps > record_after:
-            seen = {}
         if steps > budget:
             raise MeetInconsistency(
                 f"tripod recursion failed to settle within {budget} steps"
             )
 
         ha, hb, hc = a.head, b.head, c.head
-        if ha is STAR or hb is STAR or hc is STAR:
+        if ha is star or hb is star or hc is star:
+            # A replacement puts *nu, which reads the wildcard next, into
+            # a slot.  So a cycle of states without a wildcard step makes
+            # no replacement and shifts three points through equal letters
+            # forever: they would be one point, which ends the walk above.
+            # Recording here alone therefore catches every recurrence.
+            if steps > maxpre:
+                key = (id(a), id(b), id(c))
+                prev = seen.get(key)
+                if prev is not None:
+                    return EPSeq(tuple(w[:prev]), tuple(w[prev:]), degree)
+                seen[key] = len(w)
             # at most one slot sits at the critical point (two would be equal)
-            if ha is STAR:
-                x, y, bit = hb, hc, 1
-            elif hb is STAR:
-                x, y, bit = ha, hc, 2
+            if ha is star:
+                x, y = hb, hc
+            elif hb is star:
+                x, y = ha, hc
             else:
-                x, y, bit = ha, hb, 4
+                x, y = ha, hb
             if x != y:
                 # the critical point itself separates the other two
-                return EPSeq(tuple(w) + (STAR,) + nu_seq.pre, nu_seq.per, degree)
+                return EPSeq(tuple(w) + (star,) + nu_seq.pre, nu_seq.per, degree)
             w.append(x)
-            flags |= bit
-            a, b, c = a.tail(), b.tail(), c.tail()
-            continue
-        if ha == hb:
-            if hb == hc:
-                w.append(ha)
-                a, b, c = a.tail(), b.tail(), c.tail()
-            else:
+        elif ha == hb:
+            if hb != hc:
                 c = crit
-            continue
-        if ha == hc:
+                continue
+            w.append(ha)
+        elif ha == hc:
             b = crit
             continue
-        if hb == hc:
+        elif hb == hc:
             a = crit
             continue
-        return EPSeq(tuple(w) + (STAR,) + nu_seq.pre, nu_seq.per, degree)
+        else:
+            return EPSeq(tuple(w) + (star,) + nu_seq.pre, nu_seq.per, degree)
+        # shift all three; the tail cache is read directly, filled on a miss
+        a = a._tail or a.tail()
+        b = b._tail or b.tail()
+        c = c._tail or c.tail()
 
 
 def _meet_trunc(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq:

@@ -34,17 +34,13 @@ from hubbardtrees.symbolic import (
 )
 from hubbardtrees.treebuild import build_tree, meet, sigma_closure
 
+from conftest import star_periodic_sequences
+
 ALPHA = EPSeq((), (1,))
 
 
 def _pass(cid, msg):
     print(f"ACCEPTANCE {cid:02d}: PASS - {msg}")
-
-
-def star_periodic_sequences(pmax, pmin=2):
-    for p in range(pmin, pmax + 1):
-        for bits in itertools.product([0, 1], repeat=p - 2):
-            yield validate_kneading(EPSeq((), (1,) + bits + (STAR,), 2))
 
 
 # -- 1 ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Orbit types, internal addresses, embeddability, entropy, recurrence."""
 
-import itertools
 import math
 import random
 
@@ -40,14 +39,10 @@ from hubbardtrees.symbolic import (
 )
 from hubbardtrees.treebuild import build_tree
 
+from conftest import star_periodic_sequences
+
 fs = format_sequence
 ALPHA = EPSeq((), (1,))
-
-
-def star_periodic_sequences(pmax, pmin=2):
-    for p in range(pmin, pmax + 1):
-        for bits in itertools.product([0, 1], repeat=p - 2):
-            yield validate_kneading(EPSeq((), (1,) + bits + (STAR,), 2))
 
 
 # -- valency -----------------------------------------------------------------------

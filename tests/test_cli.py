@@ -1,11 +1,13 @@
 """Command-line behaviour: outputs, exit codes, determinism, batch mode."""
 
 import json
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+from hubbardtrees import cli
 from hubbardtrees.cli import main
 
 CMD = [sys.executable, "-m", "hubbardtrees.cli"]
@@ -214,6 +216,34 @@ def test_batch_mode(tmp_path):
     assert "0.000000000000" in blocks[1]
     assert "1 -> 2 -> 3" in blocks[2]
     assert "0.481211825060" in blocks[3]
+
+
+def test_batch_out_writes_the_file(tmp_path):
+    target = tmp_path / "entropy.txt"
+    batch = tmp_path / "jobs.txt"
+    batch.write_text(f"entropy --nu \"(10*)\" --out {shlex.quote(str(target))}\n")
+    r = run("--batch", str(batch))
+    assert r.returncode == 0
+    assert r.stdout == f"### entropy --nu (10*) --out {target}\n"
+    lone = tmp_path / "lone.txt"
+    assert run("entropy", "--nu", "(10*)", "--out", str(lone)).returncode == 0
+    assert target.read_text() == lone.read_text() == "0.481211825060\n"
+
+
+def test_batch_builds_one_parser(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def counting_parser():
+        built.append(1)
+        return real_parser()
+
+    real_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_parser)
+    batch = tmp_path / "jobs.txt"
+    batch.write_text("angle --theta 1/7\n" * 3)
+    assert main(["--batch", str(batch)]) == 0
+    assert len(built) == 1
+    assert capsys.readouterr().out.count("### angle --theta 1/7\n") == 3
 
 
 # -- normalize ----------------------------------------------------------------------------------

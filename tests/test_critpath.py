@@ -1,7 +1,5 @@
 """Critical path construction: P_n, gaps, central itineraries, omega."""
 
-import itertools
-
 import pytest
 
 from hubbardtrees.critpath import (
@@ -20,14 +18,9 @@ from hubbardtrees.symbolic import (
     diff,
     format_sequence,
     kneading,
-    validate_kneading,
 )
 
-
-def star_periodic_sequences(pmax, pmin=2):
-    for p in range(pmin, pmax + 1):
-        for bits in itertools.product([0, 1], repeat=p - 2):
-            yield validate_kneading(EPSeq((), (1,) + bits + (STAR,), 2))
+from conftest import star_periodic_sequences
 
 
 # -- an intentionally dumb independent oracle ---------------------------------

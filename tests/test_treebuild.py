@@ -2,19 +2,22 @@
 
 import itertools
 import json
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hubbardtrees.critpath import build_pn, lower_sequence
-from hubbardtrees.errors import TruncatedTree
+from hubbardtrees.errors import MeetInconsistency, TruncatedTree
 from hubbardtrees.export import tree_to_dot, tree_to_json, tree_to_svg, tree_to_text
 from hubbardtrees.generators import staircase
 from hubbardtrees.symbolic import (
     EPSeq,
     INF,
     STAR,
+    angle_to_kneading,
     diff,
     format_sequence,
     kneading,
@@ -22,11 +25,14 @@ from hubbardtrees.symbolic import (
 )
 from hubbardtrees.treebuild import (
     HubbardTree,
+    _prepend,
     build_tree,
     markov_data,
     meet,
     sigma_closure,
 )
+
+from conftest import star_periodic_sequences
 
 fs = format_sequence
 
@@ -83,6 +89,114 @@ def test_meet_of_star_side_points_is_starnu_for_critical_anchor():
     pts = [pt.seq for pt in build_pn(kn, 8).points]
     for x in pts:
         assert meet(kn.critical_point(), x, kn.seq, kn) == x
+
+
+# -- the exact meet kernel against the walk it replaced ------------------------
+#
+# The walk below is the exact tripod meet as it was before recurrences were
+# recorded at wildcard steps only: it records every state, flags included,
+# from step maxpre + 2 lcm + 8 on.  It is copied verbatim apart from its name
+# and the line that counts how many walks end by recurrence.
+
+
+def _critical_point(nu):
+    return nu.critical_point()
+
+
+RECURRENCES = [0]
+
+
+def _reference_meet_exact(a, b, c, nu):
+    # EPSeq values are interned, so identity is equality throughout
+    nu_seq = nu.seq
+    degree = a.degree
+    lcm = math.lcm(len(a.per), len(b.per), len(c.per), len(nu_seq.per))
+    maxpre = max(len(a.pre), len(b.pre), len(c.pre), len(nu_seq.pre)) + 1
+    # states recur within one cycle once recording starts; canonical-form
+    # absorption makes a late start harmless
+    record_after = maxpre + 2 * lcm + 8
+    budget = (maxpre + lcm) * 8 + 64
+
+    w: list = []
+    seen = None
+    flags = 0
+    steps = 0
+    crit = _critical_point(nu)
+    while True:
+        if a is b or a is c:
+            return _prepend(w, a)
+        if b is c:
+            return _prepend(w, b)
+        steps += 1
+        if seen is not None:
+            key = (a, b, c, flags)
+            prev = seen.get(key)
+            if prev is not None:
+                RECURRENCES[0] += 1  # the one added line
+                return EPSeq(tuple(w[:prev]), tuple(w[prev:]), degree)
+            seen[key] = len(w)
+        elif steps > record_after:
+            seen = {}
+        if steps > budget:
+            raise MeetInconsistency(
+                f"tripod recursion failed to settle within {budget} steps"
+            )
+
+        ha, hb, hc = a.head, b.head, c.head
+        if ha is STAR or hb is STAR or hc is STAR:
+            # at most one slot sits at the critical point (two would be equal)
+            if ha is STAR:
+                x, y, bit = hb, hc, 1
+            elif hb is STAR:
+                x, y, bit = ha, hc, 2
+            else:
+                x, y, bit = ha, hb, 4
+            if x != y:
+                # the critical point itself separates the other two
+                return EPSeq(tuple(w) + (STAR,) + nu_seq.pre, nu_seq.per, degree)
+            w.append(x)
+            flags |= bit
+            a, b, c = a.tail(), b.tail(), c.tail()
+            continue
+        if ha == hb:
+            if hb == hc:
+                w.append(ha)
+                a, b, c = a.tail(), b.tail(), c.tail()
+            else:
+                c = crit
+            continue
+        if ha == hc:
+            b = crit
+            continue
+        if hb == hc:
+            a = crit
+            continue
+        return EPSeq(tuple(w) + (STAR,) + nu_seq.pre, nu_seq.per, degree)
+
+
+def _kernel_corpus():
+    kns = list(star_periodic_sequences(7))
+    angles = {angle_to_kneading(Fraction(k, 3 ** n - 1), 3)
+              for n in (1, 2, 3) for k in range(3 ** n - 1)}
+    kns += sorted((kn for kn in angles if not kn.trivial), key=str)
+    kns += [kneading(text, INF) for text in
+            ("[|1,2,*]", "[|1,-2,1,*]", "[|1,0,2,*]", "[|1,2,3,*]", "[1,2|3]")]
+    kns.append(kneading("1(10)"))
+    return kns
+
+
+def test_meet_kernel_matches_reference_walk():
+    RECURRENCES[0] = 0
+    tripods = 0
+    for kn in _kernel_corpus():
+        vs = sigma_closure(build_tree(kn)).vertices()
+        for a, b, c in itertools.combinations(vs, 3):
+            assert meet(a, b, c, kn) is _reference_meet_exact(a, b, c, kn), \
+                (str(kn), fs(a), fs(b), fs(c))
+            tripods += 1
+    # criterion 11's walks never end by recurrence; 77% of these do
+    assert tripods > 20000
+    assert RECURRENCES[0] / tripods > 0.7
 
 
 # -- insertion -----------------------------------------------------------------
