@@ -50,18 +50,15 @@ class ValencyReport:
     vertices_used: int
 
 
-def _closed_tree_with(nu: KneadingSequence, extra: Sequence[AnySeq] = ()
-                      ) -> HubbardTree:
-    t = build_tree(nu)
-    for s in extra:
+def _closed_with(tree: HubbardTree, points: Sequence[AnySeq]) -> HubbardTree:
+    """A copy of the tree with the points inserted, closed if finite."""
+    t = tree.copy()
+    for s in points:
         t.insert_point(s)
-    if t.finite:
-        t = sigma_closure(t)
-    return t
+    return sigma_closure(t) if t.finite else t
 
 
-def valency(nu: KneadingSequence, tau: AnySeq, budget: Optional[int] = None
-            ) -> ValencyReport:
+def valency(tree: HubbardTree, tau: AnySeq) -> ValencyReport:
     """Number of global arms at tau in the tree spanned by the critical
     orbit and the orbit of tau.
 
@@ -69,10 +66,7 @@ def valency(nu: KneadingSequence, tau: AnySeq, budget: Optional[int] = None
     postcritical, so the critical-orbit span already separates all arms;
     the count is exact in finite mode and depth-limited otherwise.
     """
-    t = build_tree(nu, budget) if budget is not None else build_tree(nu)
-    t.insert_point(tau)
-    if t.finite:
-        t = sigma_closure(t)
+    t = _closed_with(tree, [tau])
     return ValencyReport(value=t.degree_of(tau), stable=t.finite,
                          vertices_used=len(t.adj))
 
@@ -139,8 +133,10 @@ def characteristic_point(nu: KneadingSequence, tau: EPSeq) -> Optional[EPSeq]:
     return None
 
 
-def classify_orbit(nu: KneadingSequence, tau: EPSeq) -> OrbitReport:
-    """Arm count and first-return arm behaviour of the orbit of tau."""
+def classify_orbit(tree: HubbardTree, tau: EPSeq) -> OrbitReport:
+    """Arm count and first-return arm behaviour of the orbit of tau in
+    the tree with that orbit inserted."""
+    nu = tree.kneading
     if not nu.exact:
         raise DepthBudgetExceeded(
             "orbit classification needs an exact kneading sequence"
@@ -148,7 +144,7 @@ def classify_orbit(nu: KneadingSequence, tau: EPSeq) -> OrbitReport:
     _check_not_critical(nu, tau)
     orbit = _orbit_of(tau)
     period = len(orbit)
-    tree = _closed_tree_with(nu, orbit)
+    tree = _closed_with(tree, orbit)
 
     if all(tree.degree_of(s) == 1 for s in orbit):
         return OrbitReport(characteristic=None, period=period, arms=1,
@@ -184,16 +180,10 @@ def _orbit_kind(perm: Dict, arms: int, crit_arm) -> str:
         return "primitive"
     if is_single_cycle(list(perm)):
         return "satellite"
-    if fixed == {crit_arm} and arms >= 3:
-        others = [u for u in perm if u != crit_arm]
-        sub = {u: perm[u] for u in others}
-        start = others[0]
-        seen, cur = set(), start
-        while cur not in seen:
-            seen.add(cur)
-            cur = sub[cur]
-        if len(seen) == len(others):
-            return "evil"
+    # the critical arm is fixed, so the others map among themselves
+    if fixed == {crit_arm} and arms >= 3 and is_single_cycle(
+            [u for u in perm if u != crit_arm]):
+        return "evil"
     raise MeetInconsistency(f"arm permutation fits no orbit type: {perm}")
 
 
@@ -209,11 +199,15 @@ class BranchPoint:
 
 def enumerate_branch_points(tree: HubbardTree) -> List[BranchPoint]:
     """All branch points of the (sigma-closed refinement of the) tree,
-    labelled periodic, preperiodic, or precritical.  Results from a
-    truncated tree carry the depth_limited flag."""
+    labelled periodic, preperiodic, or precritical.  Each periodic orbit
+    is classified once, on the closed tree or, for a truncated tree of an
+    exact sequence, on the auto-mode tree.  Results from a truncated tree
+    carry the depth_limited flag."""
     t = sigma_closure(tree) if tree.finite else tree
     nu = t.kneading
     limited = not tree.finite
+    host = t if tree.finite else None  # built only when an orbit needs it
+    labels: Dict[frozenset, Tuple[str, Optional[OrbitReport], bool]] = {}
     out = []
     for v in t.vertices():
         deg = t.degree_of(v)
@@ -227,17 +221,20 @@ def enumerate_branch_points(tree: HubbardTree) -> List[BranchPoint]:
             continue
         steps = len(v.pre)
         if steps == 0:
-            try:
-                rep = classify_orbit(nu, v)
-                out.append(BranchPoint(v, deg, "periodic", orbit=rep,
-                                       depth_limited=limited))
-            except CriticalOrbit:
-                out.append(BranchPoint(v, deg, "critical-orbit",
-                                       depth_limited=limited))
-            except DepthBudgetExceeded:
-                # truncated input: periodicity of the vertex is exact, the
-                # arm behaviour is not certifiable
-                out.append(BranchPoint(v, deg, "periodic", depth_limited=True))
+            key = frozenset(v.orbit())
+            if key not in labels:
+                if host is None:
+                    host = build_tree(nu) if nu.exact else t
+                try:
+                    labels[key] = ("periodic", classify_orbit(host, v), limited)
+                except CriticalOrbit:
+                    labels[key] = ("critical-orbit", None, limited)
+                except DepthBudgetExceeded:
+                    # truncated input: periodicity of the vertex is exact,
+                    # the arm behaviour is not certifiable
+                    labels[key] = ("periodic", None, True)
+            kind, rep, lim = labels[key]
+            out.append(BranchPoint(v, deg, kind, orbit=rep, depth_limited=lim))
         else:
             out.append(BranchPoint(v, deg, "preperiodic", steps_to_cycle=steps,
                                    depth_limited=limited))
@@ -378,14 +375,19 @@ class EmbeddingReport:
     satellite_arms: Tuple[int, ...] = ()
 
 
-def embedding_report(tree: HubbardTree) -> EmbeddingReport:
+def embedding_report(tree: HubbardTree,
+                     branch_points: Optional[List[BranchPoint]] = None
+                     ) -> EmbeddingReport:
     """Plane-embeddability with dynamics respecting the cyclic order:
     admissible iff no periodic branch orbit is evil; the number of
     embeddings is the product of Euler's totient over the arm counts of
-    the periodic branch orbits."""
+    the periodic branch orbits.  A caller that already holds the tree's
+    enumerate_branch_points list passes it as branch_points."""
+    if branch_points is None:
+        branch_points = enumerate_branch_points(tree)
     provisional = not tree.finite
     reports: Dict[frozenset, OrbitReport] = {}
-    for bp in enumerate_branch_points(tree):
+    for bp in branch_points:
         if bp.kind == "periodic":
             key = frozenset(bp.point.orbit())
             rep = bp.orbit or OrbitReport(None, len(key), bp.valency, "unknown")

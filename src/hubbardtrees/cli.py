@@ -46,7 +46,7 @@ from .symbolic import (
     parse_sequence,
     validate_kneading,
 )
-from .treebuild import build_tree, markov_data
+from .treebuild import build_tree, markov_data, sigma_closure
 
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
@@ -174,14 +174,17 @@ def classification_report(kn: KneadingSequence, n=None, max_points=64) -> dict:
     else:
         report["bifurcation"] = None
 
+    # closed once here, so the closures inside the calls below add nothing
+    tree = sigma_closure(tree) if tree.finite else tree
     orbits = []
     listed = set()
     if kn.star_periodic and tree.finite:
         omega = lower_sequence(kn)
-        rep = classify_orbit(kn, omega)
+        rep = classify_orbit(tree, omega)
         orbits.append(_orbit_entry(rep))
         listed.add(frozenset(omega.orbit()))
-    for bp in enumerate_branch_points(tree):
+    branch_points = enumerate_branch_points(tree)
+    for bp in branch_points:
         if bp.kind == "periodic" and bp.orbit is not None:
             key = frozenset(bp.point.orbit())
             if key not in listed:
@@ -189,7 +192,7 @@ def classification_report(kn: KneadingSequence, n=None, max_points=64) -> dict:
                 orbits.append(_orbit_entry(bp.orbit))
     report["orbits"] = orbits
 
-    emb = embedding_report(tree)
+    emb = embedding_report(tree, branch_points)
     report["admissible"] = emb.admissible
     report["embedding_count"] = emb.count
     if emb.provisional:

@@ -120,8 +120,8 @@ class EPSeq:
         obj.head = pre[0] if pre else per[0]
         obj._hash = hash(key)
         obj._tail = None
-        cls._intern[key] = obj
-        return obj
+        # atomic: threads racing on one key all get the first object stored
+        return cls._intern.setdefault(key, obj)
 
     # -- basic protocol ----------------------------------------------------
 

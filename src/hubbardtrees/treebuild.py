@@ -52,7 +52,6 @@ def _prepend(word, s: AnySeq) -> AnySeq:
     return PrefixSequence(tuple(word) + s.word, s.degree)
 
 
-@functools.lru_cache(maxsize=1 << 18)
 def meet(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq:
     """The branch point of the tripod spanned by three points of H(nu).
 
@@ -146,7 +145,7 @@ def _meet_exact(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> AnySeq:
 
 def _meet_trunc(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq:
     budget = max(_known(s) for s in (a, b, c)) * 4 + 8
-    crit = _critical_point(nu)
+    crit = nu.critical_point()
     w: list = []
     seen: dict = {}
     flags = (False, False, False)
@@ -203,11 +202,6 @@ def _meet_trunc(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq
 
 def _known(s: AnySeq) -> int:
     return len(s.word) if not s.exact else len(s.pre) + len(s.per)
-
-
-@functools.lru_cache(maxsize=256)
-def _critical_point(nu: KneadingSequence):
-    return nu.critical_point()
 
 
 def same_point(x: AnySeq, y: AnySeq) -> bool:

@@ -157,7 +157,7 @@ def test_criterion_05_classification_sweep():
     for kn in star_periodic_sequences(8):
         p = kn.period
         om = lower_sequence(kn)
-        rep = classify_orbit(kn, om)
+        rep = classify_orbit(build_tree(kn), om)
         bc = classify_bifurcation(kn)
         has_gap = bool(build_pn(kn, p).gaps)
         in_addr = (bc.q in internal_address(kn).entries

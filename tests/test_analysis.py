@@ -49,18 +49,19 @@ ALPHA = EPSeq((), (1,))
 
 
 def test_valency_rabbit_alpha():
-    assert valency(kneading("(11*)"), ALPHA).value == 3
+    assert valency(build_tree(kneading("(11*)")), ALPHA).value == 3
 
 
 def test_valency_evil_characteristic():
     # p/q + 1 branches with p = 6, q = 3
-    assert valency(kneading("(10110*)"), EPSeq((), (1, 0, 1))).value == 3
+    tree = build_tree(kneading("(10110*)"))
+    assert valency(tree, EPSeq((), (1, 0, 1))).value == 3
 
 
 def test_valency_critical_value_is_one():
     for text in ["(10*)", "(101*)", "1(0)"]:
         kn = kneading(text)
-        assert valency(kn, kn.seq).value == 1
+        assert valency(build_tree(kn), kn.seq).value == 1
 
 
 # -- characteristic points -----------------------------------------------------------
@@ -95,32 +96,32 @@ def test_characteristic_none_for_endpoint_orbit():
 
 def test_classify_primitive():
     kn = kneading("(10*)")
-    rep = classify_orbit(kn, lower_sequence(kn))
+    rep = classify_orbit(build_tree(kn), lower_sequence(kn))
     assert (rep.kind, rep.arms, rep.period) == ("primitive", 2, 3)
 
 
 def test_classify_satellite():
     kn = kneading("(101*)")
-    rep = classify_orbit(kn, EPSeq((), (1, 0)))
+    rep = classify_orbit(build_tree(kn), EPSeq((), (1, 0)))
     assert (rep.kind, rep.arms, rep.period) == ("satellite", 2, 2)
 
 
 def test_classify_evil():
     kn = kneading("(10110*)")
-    rep = classify_orbit(kn, EPSeq((), (1, 0, 1)))
+    rep = classify_orbit(build_tree(kn), EPSeq((), (1, 0, 1)))
     assert (rep.kind, rep.arms, rep.period) == ("evil", 3, 3)
     assert rep.characteristic == EPSeq((), (1, 0, 1))
 
 
 def test_classify_endpoint_orbit():
-    rep = classify_orbit(kneading("(10*)"), EPSeq((), (0,)))
+    rep = classify_orbit(build_tree(kneading("(10*)")), EPSeq((), (0,)))
     assert rep.kind == "endpoints"
 
 
 def test_classify_rejects_critical_orbit():
     kn = kneading("(10*)")
     with pytest.raises(CriticalOrbit):
-        classify_orbit(kn, kn.seq)
+        classify_orbit(build_tree(kn), kn.seq)
 
 
 # -- branch point enumeration ----------------------------------------------------------
@@ -411,7 +412,7 @@ def test_proposition_star_periodic_classification_period_le_6():
     # quick version; the acceptance suite sweeps period <= 8
     for kn in star_periodic_sequences(6):
         om = lower_sequence(kn)
-        rep = classify_orbit(kn, om)
+        rep = classify_orbit(build_tree(kn), om)
         bc = classify_bifurcation(kn)
         p = kn.period
         assert rep.characteristic == om  # the lower sequence is characteristic

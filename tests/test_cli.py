@@ -105,6 +105,77 @@ def test_classify_airplane():
     assert any(o["kind"] == "primitive" for o in doc["orbits"])
 
 
+# Output captured before orbit classification moved onto the tree the
+# command builds: truncated trees, prefixes, generators, other degrees.
+CLASSIFY_TEXT = [
+    ("--nu (10110*) --depth 2",
+     "nu:         (10110*)  (degree 2, truncated at 2)\n"
+     "bifurcation: non-standard from period 3 (base (10*))\n"
+     "orbit:      characteristic (101) period 3 arms 3 kind evil\n"
+     "admissible: False  embeddings: 0 (provisional: truncated)\n"),
+    ("--nu (10110*) --depth 3",
+     "nu:         (10110*)  (degree 2, truncated at 3)\n"
+     "bifurcation: non-standard from period 3 (base (10*))\n"
+     "orbit:      characteristic (101) period 3 arms 3 kind evil\n"
+     "admissible: False  embeddings: 0 (provisional: truncated)\n"),
+    ("--nu (1001101*) --depth 3",
+     "nu:         (1001101*)  (degree 2, truncated at 3)\n"
+     "bifurcation: none\n"
+     "admissible: True  embeddings: 1 (provisional: truncated)\n"),
+    ("--nu 11(01) --depth 2",
+     "nu:         1(10)  (degree 2, finite)\n"
+     "bifurcation: not star-periodic\n"
+     "orbit:      characteristic (1) period 1 arms 3 kind satellite\n"
+     "admissible: True  embeddings: 2\n"
+     "entropy:    0.419617624991\n"),
+    ("--nu 11(01) --max-vertices 2",
+     "nu:         1(10)  (degree 2, truncated at 2)\n"
+     "bifurcation: not star-periodic\n"
+     "orbit:      characteristic (1) period 1 arms 3 kind satellite\n"
+     "admissible: True  embeddings: 2 (provisional: truncated)\n"),
+    ("--nu 1101001 --prefix",
+     "nu:         1101001  (degree 2, truncated at 3)\n"
+     "bifurcation: not star-periodic\n"
+     "admissible: True  embeddings: 2 (provisional: truncated)\n"),
+    ("--gen feigenbaum --depth 16",
+     "nu:         1011101010111011  (degree 2, truncated at 8)\n"
+     "bifurcation: not star-periodic\n"
+     "admissible: True  embeddings: 1 (provisional: truncated)\n"),
+    ("--degree 3 --nu (12*) --depth 1",
+     "nu:         (12*)  (degree 3, truncated at 1)\n"
+     "bifurcation: none\n"
+     "admissible: True  embeddings: 1 (provisional: truncated)\n"),
+    ("--degree inf --nu [|1,-2,1,*] --depth 2",
+     "nu:         [|1,-2,1,*]  (degree inf, truncated at 2)\n"
+     "bifurcation: standard from period 2 (base [|1,*])\n"
+     "admissible: True  embeddings: 1 (provisional: truncated)\n"),
+]
+
+
+@pytest.mark.parametrize("args,text", CLASSIFY_TEXT)
+def test_classify_text_truncated_and_non_default(args, text, capsys):
+    assert main(["classify"] + shlex.split(args)) == 0
+    assert capsys.readouterr() == (text, "")
+
+
+@pytest.mark.parametrize("nu", ["(10110*)", "(100101*)", "11(01)"])
+def test_classification_builds_one_tree(nu, monkeypatch):
+    from hubbardtrees import analysis, treebuild
+    from hubbardtrees.symbolic import kneading
+
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return treebuild.build_tree(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_tree", counting_build)
+    monkeypatch.setattr(analysis, "build_tree", counting_build)
+    cli.classification_report(kneading(nu))
+    assert len(built) == 1
+    assert not hasattr(treebuild.meet, "cache_info")
+
+
 # -- address --------------------------------------------------------------------------
 
 

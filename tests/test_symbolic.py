@@ -1,6 +1,8 @@
 """Sequence representation, diff, kneading validation, angles."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -349,3 +351,35 @@ def test_prefix_round_trip():
     assert p.word == (1, 1, 0, 1, 0, 0, 1, 0, 0)
     assert p.depth == 9
     assert p.shift(2).word == (0, 1, 0, 0, 1, 0, 0)
+
+
+def test_interning_is_atomic_under_threads():
+    # sequences no other test builds: degree 9, a 14-letter preperiod
+    keys = [(tuple(8 - int(b) for b in f"{i:014b}"), (7, 5))
+            for i in range(3000)]
+    assert not any(EPSeq._intern.get((pre, per, 9)) for pre, per in keys)
+    workers = 4
+    barrier = threading.Barrier(workers, timeout=30)
+    got = [None] * workers
+
+    def build(slot):
+        barrier.wait()
+        got[slot] = [EPSeq(pre, per, 9) for pre, per in keys]
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g is not None for g in got)
+    for j, (pre, per) in enumerate(keys):
+        first = got[0][j]
+        assert all(g[j] is first for g in got[1:])
+        assert EPSeq(pre, per, 9) is first
