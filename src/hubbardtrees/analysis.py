@@ -135,12 +135,17 @@ def characteristic_point(nu: KneadingSequence, tau: EPSeq) -> Optional[EPSeq]:
 
 def classify_orbit(tree: HubbardTree, tau: EPSeq) -> OrbitReport:
     """Arm count and first-return arm behaviour of the orbit of tau in
-    the tree with that orbit inserted."""
+    the finite tree with that orbit inserted."""
+    if not tree.finite:
+        raise TruncatedTree("orbit classification requires a finite tree")
+    return _classify_in(tree, tau)
+
+
+def _classify_in(tree: HubbardTree, tau: EPSeq) -> OrbitReport:
+    # classify_orbit without its finite-tree check, for enumerate_branch_points
     nu = tree.kneading
     if not nu.exact:
-        raise DepthBudgetExceeded(
-            "orbit classification needs an exact kneading sequence"
-        )
+        raise DepthBudgetExceeded("orbit classification needs an exact nu")
     _check_not_critical(nu, tau)
     orbit = _orbit_of(tau)
     period = len(orbit)
@@ -201,8 +206,8 @@ def enumerate_branch_points(tree: HubbardTree) -> List[BranchPoint]:
     """All branch points of the (sigma-closed refinement of the) tree,
     labelled periodic, preperiodic, or precritical.  Each periodic orbit
     is classified once, on the closed tree or, for a truncated tree of an
-    exact sequence, on the auto-mode tree.  Results from a truncated tree
-    carry the depth_limited flag."""
+    exact sequence, on the auto-mode tree, even one that stays truncated.
+    Results from a truncated tree carry the depth_limited flag."""
     t = sigma_closure(tree) if tree.finite else tree
     nu = t.kneading
     limited = not tree.finite
@@ -226,7 +231,7 @@ def enumerate_branch_points(tree: HubbardTree) -> List[BranchPoint]:
                 if host is None:
                     host = build_tree(nu) if nu.exact else t
                 try:
-                    labels[key] = ("periodic", classify_orbit(host, v), limited)
+                    labels[key] = ("periodic", _classify_in(host, v), limited)
                 except CriticalOrbit:
                     labels[key] = ("critical-orbit", None, limited)
                 except DepthBudgetExceeded:
@@ -375,16 +380,12 @@ class EmbeddingReport:
     satellite_arms: Tuple[int, ...] = ()
 
 
-def embedding_report(tree: HubbardTree,
-                     branch_points: Optional[List[BranchPoint]] = None
+def embedding_report(tree: HubbardTree, branch_points: List[BranchPoint]
                      ) -> EmbeddingReport:
     """Plane-embeddability with dynamics respecting the cyclic order:
     admissible iff no periodic branch orbit is evil; the number of
     embeddings is the product of Euler's totient over the arm counts of
-    the periodic branch orbits.  A caller that already holds the tree's
-    enumerate_branch_points list passes it as branch_points."""
-    if branch_points is None:
-        branch_points = enumerate_branch_points(tree)
+    the periodic branch orbits, read off enumerate_branch_points(tree)."""
     provisional = not tree.finite
     reports: Dict[frozenset, OrbitReport] = {}
     for bp in branch_points:

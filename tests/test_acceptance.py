@@ -184,15 +184,18 @@ def test_criterion_05_classification_sweep():
 
 
 def test_criterion_06_embeddability():
-    evil = embedding_report(build_tree(kneading("(10110*)")))
+    tree = build_tree(kneading("(10110*)"))
+    evil = embedding_report(tree, enumerate_branch_points(tree))
     assert not evil.admissible and evil.count == 0
     assert len(evil.evil_orbits) == 1
     assert (evil.evil_orbits[0].period, evil.evil_orbits[0].arms) == (3, 3)
 
-    rabbit = embedding_report(build_tree(kneading("(11*)")))
+    tree = build_tree(kneading("(11*)"))
+    rabbit = embedding_report(tree, enumerate_branch_points(tree))
     assert rabbit.admissible and rabbit.count == 2
 
-    airplane = embedding_report(build_tree(kneading("(10*)")))
+    tree = build_tree(kneading("(10*)"))
+    airplane = embedding_report(tree, enumerate_branch_points(tree))
     assert airplane.admissible and airplane.count == 1
     _pass(6, "(10110*) inadmissible (evil period 3, 3 arms); "
              "(11*) count phi(3)=2; (10*) count 1")

@@ -24,6 +24,7 @@ from hubbardtrees.errors import (
     CriticalOrbit,
     NonIncreasingAddress,
     NotStarPeriodic,
+    TruncatedTree,
     WrongDegree,
 )
 from hubbardtrees.generators import feigenbaum, staircase
@@ -122,6 +123,26 @@ def test_classify_rejects_critical_orbit():
     kn = kneading("(10*)")
     with pytest.raises(CriticalOrbit):
         classify_orbit(build_tree(kn), kn.seq)
+
+
+def test_classify_requires_finite_tree():
+    # the depth-2 tree of (10110*) lacks postcritical points of the orbit
+    tree = build_tree(kneading("(10110*)"), 2)
+    with pytest.raises(TruncatedTree):
+        classify_orbit(tree, EPSeq((), (1, 0, 1)))
+
+
+def test_branch_points_of_tree_that_stays_truncated():
+    # 76 orbit points, so the auto-mode tree stops at 64, truncated; the
+    # orbit types agree with the finite tree built with max_points=200
+    tree = build_tree(kneading("1010(1111101010010101001010001110110010"
+                               "001000010010000111111001000111111001)"))
+    assert not tree.finite
+    kinds = {(bp.orbit.kind, bp.orbit.period, bp.depth_limited)
+             for bp in enumerate_branch_points(tree) if bp.orbit}
+    assert kinds == {("satellite", 2, True), ("evil", 10, True)}
+    with pytest.raises(TruncatedTree):
+        classify_orbit(tree, EPSeq((), (1, 0)))
 
 
 # -- branch point enumeration ----------------------------------------------------------
@@ -292,12 +313,14 @@ def test_valency_constant_along_periodic_orbits():
     ("(1011*)", True, 1),
 ])
 def test_embedding_report(text, admissible, count):
-    rep = embedding_report(build_tree(kneading(text)))
+    tree = build_tree(kneading(text))
+    rep = embedding_report(tree, enumerate_branch_points(tree))
     assert (rep.admissible, rep.count) == (admissible, count)
 
 
 def test_embedding_truncated_is_provisional():
-    rep = embedding_report(build_tree(staircase(15)))
+    tree = build_tree(staircase(15))
+    rep = embedding_report(tree, enumerate_branch_points(tree))
     assert rep.provisional
 
 
@@ -371,8 +394,6 @@ def test_perron_root_budget_raises(monkeypatch):
 
 
 def test_entropy_requires_finite_tree():
-    from hubbardtrees.errors import TruncatedTree
-
     with pytest.raises(TruncatedTree):
         core_entropy(build_tree(staircase(15)))
 
