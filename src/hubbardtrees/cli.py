@@ -21,7 +21,7 @@ from .analysis import (
     internal_address,
     kneading_from_address,
 )
-from .critpath import build_critical_path, lower_sequence, path_table
+from .critpath import build_critical_path, path_table
 from .errors import (
     DepthBudgetExceeded,
     KneadingError,
@@ -178,11 +178,10 @@ def classification_report(kn: KneadingSequence, n=None, max_points=64) -> dict:
     tree = sigma_closure(tree) if tree.finite else tree
     orbits = []
     listed = set()
-    if kn.star_periodic and tree.finite:
-        omega = lower_sequence(kn)
-        rep = classify_orbit(tree, omega)
+    if tree.omega is not None:
+        rep = classify_orbit(tree, tree.omega)
         orbits.append(_orbit_entry(rep))
-        listed.add(frozenset(omega.orbit()))
+        listed.add(frozenset(tree.omega.orbit()))
     branch_points = enumerate_branch_points(tree)
     for bp in branch_points:
         if bp.kind == "periodic" and bp.orbit is not None:
@@ -386,11 +385,14 @@ def _run_one(ap, argv) -> tuple:
     return code, text
 
 
-def _run_batch(path: str) -> int:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
+def _run_batch(ap, path: str) -> int:
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh]
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot read batch file: {exc}\n")
+        return EXIT_PARSE
     jobs = [shlex.split(ln) for ln in lines if ln and not ln.startswith("#")]
-    ap = build_parser()
     worst = 0
     for argv in jobs:
         code, text = _run_one(ap, argv)
@@ -402,12 +404,10 @@ def _run_batch(path: str) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--batch" in argv:
-        i = argv.index("--batch")
-        return _run_batch(argv[i + 1])
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.batch is not None:
+        return _run_batch(ap, args.batch)
     if args.command is None:
         ap.print_help()
         return EXIT_PARSE

@@ -141,9 +141,7 @@ class EPSeq:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def exact(self) -> bool:
-        return True
+    exact = True
 
     @property
     def pure_periodic(self) -> bool:
@@ -214,21 +212,29 @@ class PrefixSequence:
     Derived truncated points (for example ``w*nu`` over a prefix ``nu``)
     reuse this class, so the word may contain wildcards even though user
     input never does.  Every downstream answer is valid to ``depth`` only.
+    Instances are immutable and interned per (word, degree), as EPSeq
+    instances are, so identity is equality for both kinds of sequence.
     """
 
-    __slots__ = ("word", "degree", "head", "_hash")
+    __slots__ = ("word", "degree", "head", "_hash", "_tail")
+    _intern: dict = {}
 
-    def __init__(self, word: Iterable[Symbol], degree=2):
+    def __new__(cls, word: Iterable[Symbol] = (), degree=2):
         word = tuple(word)
+        key = (word, degree)
+        hit = cls._intern.get(key)
+        if hit is not None:
+            return hit
         _check_letters(word, degree)
-        self.word = word
-        self.degree = degree
-        self.head = word[0] if word else None
-        self._hash = hash((word, degree, "prefix"))
+        obj = super().__new__(cls)
+        obj.word = word
+        obj.degree = degree
+        obj.head = word[0] if word else None
+        obj._hash = hash((word, degree, "prefix"))
+        obj._tail = None
+        return cls._intern.setdefault(key, obj)
 
-    @property
-    def exact(self) -> bool:
-        return False
+    exact = False
 
     @property
     def depth(self) -> int:
@@ -241,7 +247,11 @@ class PrefixSequence:
         return self.word[i - 1] if i <= len(self.word) else None
 
     def tail(self) -> "PrefixSequence":
-        return PrefixSequence(self.word[1:], self.degree)
+        """The left shift by one, cached."""
+        t = self._tail
+        if t is None:
+            t = self._tail = PrefixSequence(self.word[1:], self.degree)
+        return t
 
     def shift(self, k: int) -> "PrefixSequence":
         if k < 0:
@@ -442,7 +452,7 @@ def kneading(text: str, degree=2) -> KneadingSequence:
 def precritical(w: Iterable[Symbol], nu: KneadingSequence) -> AnySeq:
     """The precritical point ``w * nu`` (depth ``len(w) + 1``)."""
     w = tuple(w)
-    if any(x is STAR for x in w):
+    if STAR in w:
         raise SequenceParseError("precritical words contain no wildcard")
     s = nu.seq
     if s.exact:
@@ -504,7 +514,7 @@ def angle_to_kneading(theta, degree: int) -> KneadingSequence:
     cuts = sorted(Fraction(theta + j, degree) for j in range(degree))
     # arc index of a non-boundary point
     def arc(t):
-        lo = 0
+        lo = degree - 1  # below the first cut: the arc that wraps through 0
         for i, c in enumerate(cuts):
             if t > c:
                 lo = i

@@ -4,6 +4,10 @@ The tree is grown point by point: the attachment site of a new point is
 found by walking the current tree with a tripod-meet oracle on
 itineraries.  The meet recursion works directly on sequences, so it is
 independent of the tree state; the tree is just a cache of its answers.
+One walk serves exact and truncated points alike; on a truncation it
+also stops with the prefix its trusted symbols certify when a point runs
+out of symbols or the walk runs out of budget, and at the degenerate
+point when two distinct truncations read the wildcard together.
 
 For star-periodic kneading sequences the lower sequence's orbit is
 inserted as well; an edge is a Fatou interval exactly when its endpoints
@@ -21,7 +25,6 @@ import numpy as np
 
 from .critpath import lower_sequence
 from .errors import (
-    DepthBudgetExceeded,
     MeetInconsistency,
     TrivialKneadingSequence,
     TruncatedTree,
@@ -64,26 +67,32 @@ def meet(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq:
     recurring state means the emitted word is the meet's eventually
     periodic itinerary.
 
-    For exact input, states are recorded only at steps where some point
-    reads the wildcard, and only once the step count passes the longest
-    preperiod.  Every cycle of states holds such a step, so the walk
-    stops one cycle after the first state it records on the cycle, while
-    short walks (most end at the critical point) record nothing.
+    States are recorded only at steps where some point reads the
+    wildcard, and for exact input only once the step count passes the
+    longest preperiod.  Every cycle of states holds such a step, so the
+    walk stops one cycle after the first state it records on the cycle,
+    while short walks (most end at the critical point) record nothing.
+
+    Truncated input (a prefix point, or a prefix nu) walks the same way
+    and has three more exits, each returning what the trusted symbols
+    certify: a point that runs out of symbols, or a walk that exceeds
+    its budget, gives the prefix emitted so far; two distinct points both
+    reading the wildcard give that point (the tripod is degenerate).
     """
-    if a.exact and b.exact and c.exact:
-        return _meet_exact(a, b, c, nu)
-    return _meet_trunc(a, b, c, nu)
-
-
-def _meet_exact(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> AnySeq:
-    # EPSeq values are interned, so identity is equality.  Every slot is an
-    # input, the critical point or the cached tail of an earlier slot, so
-    # all stay alive during the walk and id() names a point throughout.
+    # Both kinds of sequence are interned, so identity is equality.  Every
+    # slot is an input, the critical point or the cached tail of an earlier
+    # slot, so all stay alive during the walk and id() names a point
+    # throughout.
     nu_seq = nu.seq
     degree = a.degree
-    lcm = math.lcm(len(a.per), len(b.per), len(c.per), len(nu_seq.per))
-    maxpre = max(len(a.pre), len(b.pre), len(c.pre), len(nu_seq.pre)) + 1
-    budget = (maxpre + lcm) * 8 + 64
+    exact = a.exact and b.exact and c.exact and nu_seq.exact
+    if exact:
+        lcm = math.lcm(len(a.per), len(b.per), len(c.per), len(nu_seq.per))
+        maxpre = max(len(a.pre), len(b.pre), len(c.pre), len(nu_seq.pre)) + 1
+        budget = (maxpre + lcm) * 8 + 64
+    else:
+        maxpre = 0
+        budget = max(_known(a), _known(b), _known(c)) * 4 + 8
     crit = nu.critical_point()
     star = STAR
     w: list = []
@@ -96,11 +105,15 @@ def _meet_exact(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> AnySeq:
             return _prepend(w, b)
         steps += 1
         if steps > budget:
-            raise MeetInconsistency(
-                f"tripod recursion failed to settle within {budget} steps"
-            )
+            if exact:
+                raise MeetInconsistency(
+                    f"tripod recursion failed to settle within {budget} steps"
+                )
+            return PrefixSequence(w, degree)
 
         ha, hb, hc = a.head, b.head, c.head
+        if ha is None or hb is None or hc is None:
+            return PrefixSequence(w, degree)  # out of trusted symbols
         if ha is star or hb is star or hc is star:
             # A replacement puts *nu, which reads the wildcard next, into
             # a slot.  So a cycle of states without a wildcard step makes
@@ -113,16 +126,19 @@ def _meet_exact(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> AnySeq:
                 if prev is not None:
                     return EPSeq(tuple(w[:prev]), tuple(w[prev:]), degree)
                 seen[key] = len(w)
-            # at most one slot sits at the critical point (two would be equal)
             if ha is star:
                 x, y = hb, hc
             elif hb is star:
                 x, y = ha, hc
             else:
                 x, y = ha, hb
+            if x is star or y is star:
+                # two distinct slots at the critical point: only truncated
+                # points can be, and the tripod is degenerate
+                return _prepend(w, a if ha is star else b)
             if x != y:
                 # the critical point itself separates the other two
-                return EPSeq(tuple(w) + (star,) + nu_seq.pre, nu_seq.per, degree)
+                return precritical(w, nu)
             w.append(x)
         elif ha == hb:
             if hb != hc:
@@ -136,68 +152,11 @@ def _meet_exact(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> AnySeq:
             a = crit
             continue
         else:
-            return EPSeq(tuple(w) + (star,) + nu_seq.pre, nu_seq.per, degree)
+            return precritical(w, nu)
         # shift all three; the tail cache is read directly, filled on a miss
         a = a._tail or a.tail()
         b = b._tail or b.tail()
         c = c._tail or c.tail()
-
-
-def _meet_trunc(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq:
-    budget = max(_known(s) for s in (a, b, c)) * 4 + 8
-    crit = nu.critical_point()
-    w: list = []
-    seen: dict = {}
-    flags = (False, False, False)
-    steps = 0
-    while True:
-        steps += 1
-        if steps > budget:
-            return PrefixSequence(tuple(w), a.degree)
-
-        if a == b or a == c:
-            return _prepend(w, a)
-        if b == c:
-            return _prepend(w, b)
-
-        key = (a, b, c, flags)
-        prev = seen.get(key)
-        if prev is not None:
-            return EPSeq(tuple(w[:prev]), tuple(w[prev:]), a.degree)
-        seen[key] = len(w)
-
-        ha, hb, hc = a.head, b.head, c.head
-        if ha is None or hb is None or hc is None:
-            return PrefixSequence(tuple(w), a.degree)  # out of trusted symbols
-
-        stars = (ha is STAR) + (hb is STAR) + (hc is STAR)
-        if stars >= 2:
-            # two slots sit at the critical point: degenerate tripod
-            # (distinct objects arise only under truncation)
-            return _prepend(w, a if ha is STAR else b)
-        if stars == 1:
-            letters = [h for h in (ha, hb, hc) if h is not STAR]
-            if letters[0] != letters[1]:
-                return precritical(tuple(w), nu)
-            w.append(letters[0])
-            flags = tuple(f or (h is STAR)
-                          for f, h in zip(flags, (ha, hb, hc)))
-            a, b, c = a.tail(), b.tail(), c.tail()
-            continue
-
-        if ha == hb == hc:
-            w.append(ha)
-            a, b, c = a.tail(), b.tail(), c.tail()
-            continue
-        if ha == hb or ha == hc or hb == hc:
-            if ha == hb:
-                c = crit
-            elif ha == hc:
-                b = crit
-            else:
-                a = crit
-            continue
-        return precritical(tuple(w), nu)
 
 
 def _known(s: AnySeq) -> int:
@@ -241,6 +200,8 @@ class HubbardTree:
         if kneading.star_periodic:
             self.postcritical[self.crit] = kneading.period - 1
         self.mode: Tuple[str, Optional[int]] = ("finite", None)
+        # the lower sequence whose orbit build_tree inserted, if it did
+        self.omega: Optional[EPSeq] = None
 
     # -- inspection --------------------------------------------------------
 
@@ -291,6 +252,7 @@ class HubbardTree:
         t.adj = {v: list(nbrs) for v, nbrs in self.adj.items()}
         t.postcritical = dict(self.postcritical)
         t.mode = self.mode
+        t.omega = self.omega
         return t
 
     # -- paths ---------------------------------------------------------------
@@ -447,7 +409,7 @@ def build_tree(kneading: KneadingSequence, n: Optional[int] = None, *,
     when the next orbit point already lies on the tree; a truncation
     ceiling applies to prefix inputs and runaway growth.  Star-periodic
     trees are decorated with the lower sequence's orbit, whose edges are
-    the Fatou intervals.
+    the Fatou intervals; that lower sequence is kept as ``tree.omega``.
     """
     tree = HubbardTree(kneading)
     seq = kneading.seq
@@ -459,8 +421,8 @@ def build_tree(kneading: KneadingSequence, n: Optional[int] = None, *,
             tree.insert_point(seq.shift(k), postcritical=k)
         if limit >= p - 1:
             tree.mode = ("finite", None)
-            omega = lower_sequence(kneading)
-            for s in omega.orbit():
+            tree.omega = lower_sequence(kneading)
+            for s in tree.omega.orbit():
                 tree.insert_point(s)
         else:
             tree.mode = ("truncated", limit)
@@ -484,16 +446,10 @@ def build_tree(kneading: KneadingSequence, n: Optional[int] = None, *,
         return tree
 
     # prefix input: insert orbit points while enough symbols remain
-    depth = seq.depth
-    cap = min(n if n is not None else max_points, depth // 2)
-    used = 0
+    cap = max(0, min(n if n is not None else max_points, seq.depth // 2))
     for k in range(1, cap + 1):
-        try:
-            tree.insert_point(seq.shift(k), postcritical=k)
-            used = k
-        except DepthBudgetExceeded:
-            break
-    tree.mode = ("truncated", used)
+        tree.insert_point(seq.shift(k), postcritical=k)
+    tree.mode = ("truncated", cap)
     return tree
 
 
@@ -512,8 +468,9 @@ class MarkovData:
 
 
 def sigma_closure(tree: HubbardTree, cap: int = 4096) -> HubbardTree:
-    """A copy whose vertex set is closed under the shift."""
-    t = tree.copy()
+    """The tree itself if its vertex set and postcritical labels are
+    closed under the shift, else a closed copy (the input is untouched)."""
+    t = tree
     stable = False
     while not stable:
         stable = True
@@ -523,14 +480,17 @@ def sigma_closure(tree: HubbardTree, cap: int = 4096) -> HubbardTree:
             s = v.tail()
             pc = t.postcritical.get(v)
             child_pc = pc + 1 if pc is not None else None
+            old = t.postcritical.get(s)
+            if s in t.adj and (child_pc is None
+                               or old is not None and old <= child_pc):
+                continue
+            if t is tree:
+                t = tree.copy()  # copy on the first change only
             if s not in t.adj:
                 t.insert_point(s, postcritical=child_pc)
-                stable = False
-            elif child_pc is not None:
-                old = t.postcritical.get(s)
-                if old is None or child_pc < old:
-                    t.postcritical[s] = child_pc
-                    stable = False
+            else:
+                t.postcritical[s] = child_pc
+            stable = False
     return t
 
 

@@ -317,6 +317,22 @@ def test_batch_builds_one_parser(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.count("### angle --theta 1/7\n") == 3
 
 
+def test_batch_without_file_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--batch"])
+    assert exc.value.code == 2
+    assert "argument --batch: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["absent.txt", "."])
+def test_batch_unreadable_file_is_one_error_line(tmp_path, capsys, name):
+    # a missing file, and a directory, which cannot be read as one
+    assert main(["--batch", str(tmp_path / name)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- normalize ----------------------------------------------------------------------------------
 
 

@@ -262,6 +262,41 @@ def test_angle_against_oracle(theta, degree, expect):
         assert str(got) == expect
 
 
+def _sweep_angles(degree, nmax):
+    """k/(d^n - 1) for n <= nmax and k/(d(d^n - 1)) for n <= 3."""
+    dens = [degree ** n - 1 for n in range(1, nmax + 1)]
+    dens += [degree * (degree ** n - 1) for n in range(1, 4)]
+    return sorted({Fraction(k, den) for den in dens for k in range(den)})
+
+
+@pytest.mark.parametrize("degree,nmax", [(2, 6), (3, 4)])
+def test_angle_sweep_against_oracle(degree, nmax):
+    for theta in _sweep_angles(degree, nmax):
+        oracle = parse_sequence(_angle_oracle(theta, degree), degree)
+        assert angle_to_kneading(theta, degree).seq == oracle, theta
+
+
+def _mirror(sym, degree):
+    # counter-clockwise from the arc of theta the labels read 1, 0, 2, ..,
+    # d-1; conjugation reverses the circle, so the arc r steps on is read
+    # r steps back: the identity for d = 2, a swap of 0 and 2 for d = 3
+    if sym is STAR:
+        return STAR
+    ccw = [1, 0] + list(range(2, degree))
+    return ccw[-ccw.index(sym) % degree]
+
+
+@pytest.mark.parametrize("degree,maxden", [(2, 24), (3, 16), (4, 12)])
+def test_angle_conjugation_mirrors_labels(degree, maxden):
+    for den in range(2, maxden + 1):
+        for k in range(1, den):
+            theta = Fraction(k, den)
+            s = angle_to_kneading(theta, degree).seq
+            mirrored = EPSeq([_mirror(x, degree) for x in s.pre],
+                             [_mirror(x, degree) for x in s.per], degree)
+            assert angle_to_kneading(1 - theta, degree).seq == mirrored, theta
+
+
 def test_angle_zero_is_trivial():
     assert angle_to_kneading(Fraction(0), 2).trivial
 
@@ -351,6 +386,14 @@ def test_prefix_round_trip():
     assert p.word == (1, 1, 0, 1, 0, 0, 1, 0, 0)
     assert p.depth == 9
     assert p.shift(2).word == (0, 1, 0, 0, 1, 0, 0)
+
+
+def test_prefix_sequences_are_interned():
+    p = PrefixSequence([1, 0, 1, 1], 2)
+    assert PrefixSequence((1, 0, 1, 1), 2) is p
+    assert p.tail() is p.tail() is PrefixSequence((0, 1, 1), 2)
+    assert p.shift(4) is PrefixSequence((), 2) is PrefixSequence((), 2).tail()
+    assert PrefixSequence((1, 0, 1, 1), 3) is not p
 
 
 def test_interning_is_atomic_under_threads():

@@ -12,19 +12,23 @@ import pytest
 from hubbardtrees.critpath import build_pn, lower_sequence
 from hubbardtrees.errors import MeetInconsistency, TruncatedTree
 from hubbardtrees.export import tree_to_dot, tree_to_json, tree_to_svg, tree_to_text
-from hubbardtrees.generators import staircase
+from hubbardtrees.generators import make, staircase
 from hubbardtrees.symbolic import (
     EPSeq,
     INF,
+    PrefixSequence,
     STAR,
     angle_to_kneading,
     diff,
     format_sequence,
     kneading,
+    parse_prefix,
+    precritical,
     validate_kneading,
 )
 from hubbardtrees.treebuild import (
     HubbardTree,
+    _known,
     _prepend,
     build_tree,
     markov_data,
@@ -197,6 +201,138 @@ def test_meet_kernel_matches_reference_walk():
     # criterion 11's walks never end by recurrence; 77% of these do
     assert tripods > 20000
     assert RECURRENCES[0] / tripods > 0.7
+
+
+# -- the one walk on truncated input against the walk it replaced -------------
+#
+# The walk below is the truncated tripod meet as it was before the exact and
+# truncated walks were folded into one: it compares points with ==, records
+# every state and keys states on flags.  It is copied verbatim apart from
+# its name.
+
+
+def _reference_meet_trunc(a, b, c, nu):
+    budget = max(_known(s) for s in (a, b, c)) * 4 + 8
+    crit = nu.critical_point()
+    w: list = []
+    seen: dict = {}
+    flags = (False, False, False)
+    steps = 0
+    while True:
+        steps += 1
+        if steps > budget:
+            return PrefixSequence(tuple(w), a.degree)
+
+        if a == b or a == c:
+            return _prepend(w, a)
+        if b == c:
+            return _prepend(w, b)
+
+        key = (a, b, c, flags)
+        prev = seen.get(key)
+        if prev is not None:
+            return EPSeq(tuple(w[:prev]), tuple(w[prev:]), a.degree)
+        seen[key] = len(w)
+
+        ha, hb, hc = a.head, b.head, c.head
+        if ha is None or hb is None or hc is None:
+            return PrefixSequence(tuple(w), a.degree)  # out of trusted symbols
+
+        stars = (ha is STAR) + (hb is STAR) + (hc is STAR)
+        if stars >= 2:
+            # two slots sit at the critical point: degenerate tripod
+            # (distinct objects arise only under truncation)
+            return _prepend(w, a if ha is STAR else b)
+        if stars == 1:
+            letters = [h for h in (ha, hb, hc) if h is not STAR]
+            if letters[0] != letters[1]:
+                return precritical(tuple(w), nu)
+            w.append(letters[0])
+            flags = tuple(f or (h is STAR)
+                          for f, h in zip(flags, (ha, hb, hc)))
+            a, b, c = a.tail(), b.tail(), c.tail()
+            continue
+
+        if ha == hb == hc:
+            w.append(ha)
+            a, b, c = a.tail(), b.tail(), c.tail()
+            continue
+        if ha == hb or ha == hc or hb == hc:
+            if ha == hb:
+                c = crit
+            elif ha == hc:
+                b = crit
+            else:
+                a = crit
+            continue
+        return precritical(tuple(w), nu)
+
+
+def test_meet_on_truncated_trees_matches_reference_walk():
+    kns = [validate_kneading(parse_prefix("1" + "".join(bits)))
+           for bits in itertools.product("01", repeat=9)]
+    kns += [make(name, depth=d) for name in ("staircase", "feigenbaum")
+            for d in range(2, 25)]
+    equal = extended = 0
+    for kn in kns:
+        for a, b, c in itertools.combinations(build_tree(kn).vertices(), 3):
+            got, ref = meet(a, b, c, kn), _reference_meet_trunc(a, b, c, kn)
+            if got == ref:
+                equal += 1
+                continue
+            # where the reference ran out of budget, the recorded states
+            # catch the recurrence and give the periodic point it truncates
+            assert got.exact and not ref.exact, (str(kn), fs(a), fs(b), fs(c))
+            n = len(ref.word)
+            assert tuple(got.at(i) for i in range(1, n + 1)) == ref.word
+            extended += 1
+    assert equal > 60000
+    assert extended > 300
+
+
+def test_meet_truncated_exits():
+    kn = validate_kneading(parse_prefix("1011011100"))
+    crit, nu = kn.critical_point(), kn.seq
+    short_crit = PrefixSequence((STAR, 1, 0, 1), 2)
+    # two truncations of the critical point: a degenerate tripod
+    assert meet(crit, short_crit, nu, kn) is crit
+    assert meet(short_crit, nu, crit, kn) is short_crit
+    # a point out of symbols: the prefix emitted so far
+    assert meet(nu, PrefixSequence((1,), 2), crit, kn) is PrefixSequence((1,), 2)
+    for args in ((crit, short_crit, nu), (nu, PrefixSequence((1,), 2), crit)):
+        assert meet(*args, kn) is _reference_meet_trunc(*args, kn)
+
+
+# -- sigma closure and the kept lower sequence ---------------------------------
+
+
+def test_closing_a_closed_tree_returns_it():
+    for kn in _kernel_corpus():
+        tree = build_tree(kn)
+        assert tree.finite
+        assert sigma_closure(tree) is tree, str(kn)
+
+
+def test_closure_copies_an_open_tree_and_leaves_it_untouched():
+    tree = build_tree(kneading("10(01101)"))
+    before = {v: list(nbrs) for v, nbrs in tree.adj.items()}
+    closed = sigma_closure(tree)
+    assert closed is not tree
+    assert len(tree.adj) == 4 and tree.adj == before
+    assert len(closed.adj) == 8
+    assert all(v.tail() in closed.adj for v in closed.adj)
+    assert sigma_closure(closed) is closed
+
+
+def test_tree_keeps_its_lower_sequence():
+    for kn in star_periodic_sequences(7):
+        tree = build_tree(kn)
+        assert tree.omega == lower_sequence(kn)
+        assert sigma_closure(tree.copy()).omega is tree.omega
+        assert build_tree(kn, kn.period - 2).omega is None
+    for text in ("1(10)", "10(01101)"):
+        assert build_tree(kneading(text)).omega is None
+    assert build_tree(make("staircase", depth=12)).omega is None
 
 
 # -- insertion -----------------------------------------------------------------
