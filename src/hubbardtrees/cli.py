@@ -387,12 +387,13 @@ def _run_one(ap, argv) -> tuple:
 
 def _run_batch(ap, path: str) -> int:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
-    except OSError as exc:
+        jobs = [shlex.split(ln) for ln in lines
+                if ln and not ln.startswith("#")]
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, bad quoting
         sys.stderr.write(f"error: cannot read batch file: {exc}\n")
         return EXIT_PARSE
-    jobs = [shlex.split(ln) for ln in lines if ln and not ln.startswith("#")]
     worst = 0
     for argv in jobs:
         code, text = _run_one(ap, argv)

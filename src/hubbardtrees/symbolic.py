@@ -136,6 +136,10 @@ class EPSeq:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # copies and unpickled values go through the intern table
+        return (EPSeq, (self.pre, self.per, self.degree))
+
     def __repr__(self):
         return f"EPSeq({format_sequence(self)!r}, degree={self.degree})"
 
@@ -219,7 +223,7 @@ class PrefixSequence:
     __slots__ = ("word", "degree", "head", "_hash", "_tail")
     _intern: dict = {}
 
-    def __new__(cls, word: Iterable[Symbol] = (), degree=2):
+    def __new__(cls, word: Iterable[Symbol], degree=2):
         word = tuple(word)
         key = (word, degree)
         hit = cls._intern.get(key)
@@ -276,6 +280,9 @@ class PrefixSequence:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return (PrefixSequence, (self.word, self.degree))
 
     def __repr__(self):
         return f"PrefixSequence({format_sequence(self)!r}, degree={self.degree})"

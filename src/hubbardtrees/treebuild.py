@@ -91,8 +91,12 @@ def meet(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq:
         maxpre = max(len(a.pre), len(b.pre), len(c.pre), len(nu_seq.pre)) + 1
         budget = (maxpre + lcm) * 8 + 64
     else:
+        # States are recorded from the first step, so the walk ends by
+        # itself; the budget only guards it, and leaves room for the
+        # periods of exact slots as the exact budget does.
         maxpre = 0
-        budget = max(_known(a), _known(b), _known(c)) * 4 + 8
+        known = max(_known(a), _known(b), _known(c), _known(nu_seq))
+        budget = (known + 1) * 8 + 64
     crit = nu.critical_point()
     star = STAR
     w: list = []
@@ -165,12 +169,15 @@ def _known(s: AnySeq) -> int:
 
 def same_point(x: AnySeq, y: AnySeq) -> bool:
     """Identity for tree points.  Exact sequences compare structurally;
-    truncated words are identified when one extends the other (the best
-    a truncation can certify)."""
-    if x.exact and y.exact:
-        return x == y
-    if x.exact or y.exact:
-        return False
+    a truncated word is identified with a point whose itinerary extends
+    it, or is extended by it (the best a truncation can certify)."""
+    if x.exact:
+        if y.exact:
+            return x == y
+        x, y = y, x
+    if y.exact:
+        # the wildcard is a singleton equal only to itself
+        return all(y.at(i) == s for i, s in enumerate(x.word, 1))
     n = min(len(x.word), len(y.word))
     return x.word[:n] == y.word[:n]
 
@@ -294,7 +301,8 @@ class HubbardTree:
         ('interior', (u, v)) if p subdivides edge (u, v),
         ('branch', (u, v, m)) if p hangs off a new vertex m interior to
         (u, v), or ('at', v) if p hangs off the existing vertex v."""
-        if p.exact:
+        if p.exact and self.nu.exact:
+            # a tree over an exact sequence holds exact points only
             if p in self.adj:
                 return ("existing", p)
         else:

@@ -324,9 +324,15 @@ def test_batch_without_file_is_a_usage_error(capsys):
     assert "argument --batch: expected one argument" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["absent.txt", "."])
-def test_batch_unreadable_file_is_one_error_line(tmp_path, capsys, name):
-    # a missing file, and a directory, which cannot be read as one
+@pytest.mark.parametrize("name,content", [
+    ("absent.txt", None),                      # a missing file
+    (".", None),                               # a directory
+    ("latin1.txt", b"classify --nu 10\xe9\n"),  # not UTF-8
+    ("quote.txt", b'classify --nu "(10*)\n'),  # an unclosed quote
+])
+def test_batch_unreadable_file_is_one_error_line(tmp_path, capsys, name, content):
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
     assert main(["--batch", str(tmp_path / name)]) == 2
     out, err = capsys.readouterr()
     assert out == ""

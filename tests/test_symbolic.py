@@ -1,6 +1,8 @@
 """Sequence representation, diff, kneading validation, angles."""
 
+import copy
 import math
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -394,6 +396,17 @@ def test_prefix_sequences_are_interned():
     assert p.tail() is p.tail() is PrefixSequence((0, 1, 1), 2)
     assert p.shift(4) is PrefixSequence((), 2) is PrefixSequence((), 2).tail()
     assert PrefixSequence((1, 0, 1, 1), 3) is not p
+
+
+def test_copies_and_pickles_keep_interning():
+    # a copy must not be rebuilt through an argument-free __new__, which
+    # would hand back (and then overwrite) an interned value
+    for s in (PrefixSequence((1, 0, 1, 1), 2), PrefixSequence((), 3),
+              EPSeq((1,), (0, 1), 2), EPSeq((), (STAR, 2, 0), 3)):
+        assert copy.copy(s) is s
+        assert copy.deepcopy(s) is s
+        assert pickle.loads(pickle.dumps(s)) is s
+    assert PrefixSequence((), 2).word == ()
 
 
 def test_interning_is_atomic_under_threads():

@@ -23,6 +23,7 @@ from hubbardtrees.symbolic import (
     format_sequence,
     kneading,
     parse_prefix,
+    parse_sequence,
     precritical,
     validate_kneading,
 )
@@ -33,7 +34,9 @@ from hubbardtrees.treebuild import (
     build_tree,
     markov_data,
     meet,
+    same_point,
     sigma_closure,
+    vertex_order,
 )
 
 from conftest import star_periodic_sequences
@@ -268,13 +271,18 @@ def _reference_meet_trunc(a, b, c, nu):
         return precritical(tuple(w), nu)
 
 
-def test_meet_on_truncated_trees_matches_reference_walk():
+def _truncated_corpus():
+    """Every ten-letter prefix word, and the generators at depths 2-24."""
     kns = [validate_kneading(parse_prefix("1" + "".join(bits)))
            for bits in itertools.product("01", repeat=9)]
     kns += [make(name, depth=d) for name in ("staircase", "feigenbaum")
             for d in range(2, 25)]
+    return kns
+
+
+def test_meet_on_truncated_trees_matches_reference_walk():
     equal = extended = 0
-    for kn in kns:
+    for kn in _truncated_corpus():
         for a, b, c in itertools.combinations(build_tree(kn).vertices(), 3):
             got, ref = meet(a, b, c, kn), _reference_meet_trunc(a, b, c, kn)
             if got == ref:
@@ -301,6 +309,57 @@ def test_meet_truncated_exits():
     assert meet(nu, PrefixSequence((1,), 2), crit, kn) is PrefixSequence((1,), 2)
     for args in ((crit, short_crit, nu), (nu, PrefixSequence((1,), 2), crit)):
         assert meet(*args, kn) is _reference_meet_trunc(*args, kn)
+
+
+def test_meet_does_not_depend_on_how_a_point_is_given():
+    # an exact point and a long truncation of it span the same tripod; the
+    # walk's budget must leave room for the exact point's period
+    kn = validate_kneading(parse_prefix("1011011100"))
+    a, b = parse_prefix("11100"), parse_sequence("(1011101)")
+    c, long_c = parse_sequence("(1101110)"), parse_prefix("1101110" * 4)
+    assert meet(a, b, c, kn) is meet(a, b, long_c, kn) is parse_sequence("(1110110)")
+
+
+def test_same_point_identifies_a_truncation_with_its_extensions():
+    p = parse_sequence("(110)")
+    for word, same in (("11011", True), ("", True), ("11010", False)):
+        q = PrefixSequence([int(x) for x in word], 2)
+        assert same_point(p, q) is same_point(q, p) is same, word
+    crit = EPSeq((STAR,), (1, 0), 2)
+    assert same_point(crit, PrefixSequence((STAR, 1, 0, 1), 2))
+    assert not same_point(crit, PrefixSequence((1, 1, 0, 1), 2))
+    assert not same_point(p, parse_sequence("(011)"))
+
+
+def _one_point(x, y):
+    """Whether x and y agree on every letter a truncation certifies."""
+    if x.exact and y.exact:
+        return x == y
+    n = min(len(s.word) for s in (x, y) if not s.exact)
+    return all(x.at(i) == y.at(i) for i in range(1, n + 1))
+
+
+def test_truncated_trees_hold_each_point_once():
+    for kn in _truncated_corpus():
+        for x, y in itertools.combinations(build_tree(kn).vertices(), 2):
+            assert not _one_point(x, y), (str(kn), fs(x), fs(y))
+            assert not same_point(x, y)
+
+
+@pytest.mark.parametrize("word,vertices", [
+    ("1001011000", "1001011000 (101100) 1011000 (110010) 11000 "
+     "[*,1,0,0,1,0,1,1,0,0,0] (010110) 01011000 (011001) 001011000 011000"),
+    ("1011011100", "1011011100 (1011101) 1011100 (1110110) (1101110) 11100 "
+     "11011100 [*,1,0,1,1,0,1,1,1,0,0] (0111011) 011011100 011100"),
+    ("1011110100", "1011110100 (1010111) 10100 (1110101) 1110100 (1111010) "
+     "(1101011) 11110100 110100 [*,1,0,1,1,1,1,0,1,0,0] 011110100"),
+])
+def test_truncated_tree_names_the_periodic_point_it_meets(word, vertices):
+    # the walk that ran out of budget named one vertex by a long prefix of
+    # the periodic point given here; every other vertex is as it was
+    tree = build_tree(validate_kneading(parse_prefix(word)))
+    order = vertex_order(tree)
+    assert [format_sequence(v) for v in sorted(order, key=order.get)] == vertices.split()
 
 
 # -- sigma closure and the kept lower sequence ---------------------------------
