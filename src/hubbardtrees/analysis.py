@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .critpath import build_pn
 from .errors import (
@@ -411,44 +408,47 @@ def _totient(n: int) -> int:
 # core entropy
 
 
-_PERRON_BUDGET = 100_000  # power steps per component; 699 suffice to period 12
+_PERRON_BUDGET = 100_000  # power steps per component; 888 suffice to period 12
+_PERRON_BITS = 96  # iterate width; 64 flickers near a rounding midpoint
 
 
-def perron_root(matrix: np.ndarray) -> float:
-    """Spectral radius of a nonnegative integer matrix.
+def perron_root(matrix) -> float:
+    """Spectral radius of a nonnegative integer matrix, correctly rounded.
 
-    The spectrum of M is the union of the spectra of the diagonal blocks
-    of its strongly connected components (edge i -> j where
-    M[i, j] > 0), so rho(M) is the maximum over components:
+    The matrix is a sequence of rows of ints, such as MarkovData.rows,
+    or a 2-d array.  The spectrum of M is the union of the spectra of the
+    diagonal blocks of its strongly connected components (edge i -> j
+    where M[i][j] > 0), so rho(M) is the maximum over components:
 
     - a component with no internal entry (a vertex without a loop) has
       rho = 0;
     - a non-trivial component whose internal rows all sum to 1 is a
       single cycle, a permutation block, with rho = 1 exactly;
     - every other component A is irreducible with integer row sums >= 1,
-      not all equal to 1, so rho(A) > 1.  Power iteration on A + I,
-      which is primitive, stops when the Collatz-Wielandt bracket
-      min_i (Bv)_i / v_i <= rho(B) <= max_i (Bv)_i / v_i of the positive
-      iterate v closes to hi - lo <= 1e-13 hi, and returns its midpoint.
-      The estimate is cross-checked against the same bracket computed in
-      exact integer arithmetic.
+      not all equal to 1, so rho(A) > 1.  Power iteration runs on the
+      primitive A + I over positive integer vectors v, cut back to
+      _PERRON_BITS bits after each step.  For any positive v the
+      Collatz-Wielandt bracket gives
+      min_i (Av)_i / v_i <= rho(A) <= max_i (Av)_i / v_i.  int / int
+      is correctly rounded and rounding is monotone, so once every ratio
+      rounds to the same float, that float is rho(A) correctly rounded.
+      The bracket is tested every 4th step.
 
     Zero-entropy trees thus get exactly 1.0, even where their matrix has
-    a defective eigenvalue 1.  A component that does not converge within
-    100,000 power steps raises DepthBudgetExceeded.
+    a defective eigenvalue 1.  A component whose bracket does not round
+    to one float within 100,000 power steps raises DepthBudgetExceeded.
     """
-    matrix = np.asarray(matrix)
+    succ = [[j for j, c in enumerate(row) if c] for row in matrix]
     rho = 0.0
-    succ = [np.flatnonzero(row).tolist() for row in matrix]
     for comp in _strong_components(succ):
-        comp.sort()
-        block = matrix[np.ix_(comp, comp)]
-        if not block.any():
+        pos = {g: k for k, g in enumerate(comp)}
+        # row k of the block as column indices, each repeated by its count
+        cols = [[pos[j] for j in succ[g] if j in pos
+                 for _ in range(matrix[g][j])] for g in comp]
+        sums = {len(c) for c in cols}
+        if sums == {0}:
             continue
-        if (block.sum(axis=1) == 1).all():
-            rho = max(rho, 1.0)
-        else:
-            rho = max(rho, _irreducible_root(block))
+        rho = max(rho, 1.0 if sums == {1} else _irreducible_root(cols))
     return rho
 
 
@@ -499,53 +499,31 @@ def _strong_components(succ: List[List[int]]) -> List[List[int]]:
     return comps
 
 
-def _irreducible_root(block: np.ndarray) -> float:
-    """rho of an irreducible block with rho > 1, by power iteration on
-    the primitive B = block + I until the float Collatz-Wielandt bracket
-    of rho(B) closes."""
-    b = block.astype(float) + np.eye(block.shape[0])
-    v = np.ones(block.shape[0])
-    for _ in range(_PERRON_BUDGET):
-        w = b @ v
-        ratios = w / v
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= 1e-13 * hi:
-            break
-        v = w / hi
-    else:
-        raise DepthBudgetExceeded(
-            f"Perron iteration did not converge in {_PERRON_BUDGET} steps "
-            f"on a {block.shape[0]}-edge component"
-        )
-    estimate = 0.5 * (lo + hi)
-    exact_lo, exact_hi = _collatz_wielandt(block)
-    if not (exact_lo - 1e-9 <= estimate <= exact_hi + 1e-9):
-        raise MeetInconsistency(
-            f"power iteration {estimate} escapes exact bracket "
-            f"[{exact_lo}, {exact_hi}]"
-        )
-    return estimate - 1.0
-
-
-def _collatz_wielandt(matrix: np.ndarray, iterations: int = 60
-                      ) -> Tuple[float, float]:
-    """Exact-arithmetic bracket for rho(M + I)."""
-    n = matrix.shape[0]
-    rows = [[(j, int(matrix[i, j]) + (i == j)) for j in range(n)
-             if matrix[i, j] or i == j] for i in range(n)]
-    w = [1] * n
-    for _ in range(iterations):
-        w = [sum(c * w[j] for j, c in rows[i]) for i in range(n)]
-    nxt = [sum(c * w[j] for j, c in rows[i]) for i in range(n)]
-    ratios = [Fraction(nxt[i], w[i]) for i in range(n)]
-    return float(min(ratios)), float(max(ratios))
+def _irreducible_root(cols: List[List[int]]) -> float:
+    """rho(A) of an irreducible block with rho > 1, given as the column
+    lists of perron_root, by the certified iteration described there."""
+    cols = [c + [k] for k, c in enumerate(cols)]  # A + I
+    v = [1 << _PERRON_BITS] * len(cols)
+    for step in range(1, _PERRON_BUDGET + 1):
+        w = [sum(map(v.__getitem__, c)) for c in cols]
+        if step % 4 == 0:
+            ratios = {(x - y) / y for x, y in zip(w, v)}
+            if len(ratios) == 1:
+                return ratios.pop()
+        # w >= v, and v starts at and keeps _PERRON_BITS bits: shift >= 0
+        shift = max(w).bit_length() - _PERRON_BITS
+        v = [(x >> shift) or 1 for x in w]
+    raise DepthBudgetExceeded(
+        f"Perron iteration did not converge in {_PERRON_BUDGET} steps "
+        f"on a {len(cols)}-edge component"
+    )
 
 
 def core_entropy(tree: HubbardTree) -> float:
     """log of the spectral radius of the edge transition matrix."""
     if not tree.finite:
         raise TruncatedTree("core entropy requires a finite tree")
-    rho = perron_root(markov_data(tree).matrix)
+    rho = perron_root(markov_data(tree).rows)
     return math.log(rho) if rho > 1.0 else 0.0
 
 

@@ -273,8 +273,8 @@ def cmd_entropy(args) -> str:
             fat = " fatou" if md.tree.is_fatou_edge(u, v) else ""
             out += (f"  e{i}: [{format_sequence(u)}, {format_sequence(v)}]"
                     f"{fat}\n")
-        for i, row in enumerate(md.matrix):
-            out += f"  {' '.join(str(int(x)) for x in row)}\n"
+        for row in md.rows:
+            out += f"  {' '.join(map(str, row))}\n"
     return out
 
 
@@ -292,6 +292,18 @@ def cmd_angle(args) -> str:
 # argument plumbing
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --depth, --max-vertices and --max."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common(p, with_format=True):
     p.add_argument("--degree", default="2", help="alphabet degree (2.. or inf)")
     p.add_argument("--nu", help="kneading sequence, e.g. '(101*)' or '[|1,2,*]'")
@@ -299,9 +311,9 @@ def _add_common(p, with_format=True):
                    help="treat --nu as a bare truncated prefix word")
     p.add_argument("--gen", help="builtin generator: staircase, feigenbaum, "
                                  "address=1,2,4, prefix=110100")
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=_positive_int, default=None,
                    help="stage / growth / generator depth")
-    p.add_argument("--max-vertices", type=int, default=64,
+    p.add_argument("--max-vertices", type=_positive_int, default=64,
                    help="growth ceiling before truncation")
     p.add_argument("--normalize", action="store_true",
                    help="relabel infinite-degree symbols by first occurrence")
@@ -335,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--from", dest="from_address",
                    help="comma-separated address, e.g. 1,3,4,8")
-    p.add_argument("--max", dest="max_entries", type=int, default=16,
+    p.add_argument("--max", dest="max_entries", type=_positive_int, default=16,
                    help="entry cap for infinite addresses")
     p.set_defaults(func=cmd_address)
 

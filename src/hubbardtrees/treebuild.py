@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .critpath import lower_sequence
 from .errors import (
     MeetInconsistency,
@@ -467,12 +465,19 @@ def build_tree(kneading: KneadingSequence, n: Optional[int] = None, *,
 
 @dataclass
 class MarkovData:
-    """Edge transition counts of a sigma-closed refinement: entry (i, j)
+    """Edge transition counts of a sigma-closed refinement: rows[i][j]
     counts how often the image of edge i covers edge j."""
 
     tree: HubbardTree
     edge_list: List[Tuple[AnySeq, AnySeq]]
-    matrix: np.ndarray
+    rows: List[List[int]]
+
+    @property
+    def matrix(self):
+        """The counts as a new int64 numpy array; needs numpy."""
+        import numpy as np
+
+        return np.array(self.rows, dtype=np.int64)
 
 
 def sigma_closure(tree: HubbardTree, cap: int = 4096) -> HubbardTree:
@@ -515,12 +520,12 @@ def markov_data(tree: HubbardTree) -> MarkovData:
         key=lambda e: (order[e[0]], order[e[1]]),
     )
     index = {frozenset(e): i for i, e in enumerate(edge_list)}
-    m = np.zeros((len(edge_list), len(edge_list)), dtype=np.int64)
+    rows = [[0] * len(edge_list) for _ in edge_list]
     for u, v in edge_list:
         su, sv = u.tail(), v.tail()
         assert su != sv, "edge endpoints collapsed under sigma"
         path = t.path_between(su, sv)
-        row = index[frozenset((u, v))]
+        row = rows[index[frozenset((u, v))]]
         for x, y in zip(path, path[1:]):
-            m[row, index[frozenset((x, y))]] += 1
-    return MarkovData(tree=t, edge_list=edge_list, matrix=m)
+            row[index[frozenset((x, y))]] += 1
+    return MarkovData(tree=t, edge_list=edge_list, rows=rows)

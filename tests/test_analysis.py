@@ -1,8 +1,11 @@
 """Orbit types, internal addresses, embeddability, entropy, recurrence."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,6 +35,7 @@ from hubbardtrees.symbolic import (
     EPSeq,
     INF,
     STAR,
+    angle_to_kneading,
     diff,
     format_sequence,
     kneading,
@@ -355,22 +359,33 @@ def test_entropy_exactly_zero(text, degree):
     assert core_entropy(build_tree(kneading(text, degree))) == 0.0
 
 
+def _mp_rho(m) -> float:
+    """Largest eigenvalue modulus from mpmath at 50 digits, as a float.
+    A defective eigenvalue comes out to fewer digits (a nilpotent matrix
+    reads 2e-51), and rho is an algebraic integer, so a value within
+    1e-20 of an integer is taken to be that integer."""
+    with mpmath.workdps(50):
+        eigs = mpmath.eig(mpmath.matrix(np.asarray(m).tolist()))[0]
+        rho = max(abs(e) for e in eigs)
+        k = mpmath.nint(rho)
+        return float(k if abs(rho - k) < 1e-20 else rho)
+
+
 def test_perron_root_against_eigvals():
+    # perron_root is rho correctly rounded, so it equals the float of
+    # the 50-digit value exactly
     rng = np.random.default_rng(42)
     for _ in range(40):
         n = int(rng.integers(1, 7))
         m = rng.integers(0, 3, size=(n, n))
         m = m + np.eye(n, dtype=np.int64)  # row sums >= 1 as in markov data
-        want = max(abs(np.linalg.eigvals(m.astype(float))))
-        got = perron_root(m.astype(np.int64))
-        assert got == pytest.approx(want, abs=1e-7)
+        assert perron_root(m.astype(np.int64)) == _mp_rho(m)
     # reducible: zero rows, no added identity
     for _ in range(40):
         n = int(rng.integers(1, 8))
         m = rng.integers(0, 2, size=(n, n)) * rng.integers(0, 2, size=(n, n))
         m[rng.integers(0, n)] = 0
-        want = max(abs(np.linalg.eigvals(m.astype(float))))
-        assert perron_root(m) == pytest.approx(want, abs=1e-7)
+        assert perron_root(m) == _mp_rho(m)
     assert perron_root([[1, 1], [0, 1]]) == 1.0
     assert perron_root(np.zeros((3, 3), dtype=np.int64)) == 0.0
     # a rho > 1 block over a defective unit block
@@ -379,9 +394,8 @@ def test_perron_root_against_eigvals():
                   [0, 0, 1, 1, 0],
                   [0, 0, 0, 1, 1],
                   [0, 0, 0, 0, 1]])
-    want = max(abs(np.linalg.eigvals(m.astype(float))))
-    assert perron_root(m) == pytest.approx(want, abs=1e-9)
-    assert perron_root(m) == pytest.approx((1 + 5 ** 0.5) / 2, abs=1e-12)
+    assert perron_root(m) == _mp_rho(m) == float(mpmath.phi)
+    assert perron_root(m.tolist()) == perron_root(m)
 
 
 def test_perron_root_budget_raises(monkeypatch):
@@ -396,6 +410,68 @@ def test_perron_root_budget_raises(monkeypatch):
 def test_entropy_requires_finite_tree():
     with pytest.raises(TruncatedTree):
         core_entropy(build_tree(staircase(15)))
+
+
+def _thurston_pairs(theta):
+    """Thurston's pair-transition matrix of a rational angle theta: the
+    basis is the pairs of distinct postcritical angles 2^k theta; a pair
+    split by the diameter {theta/2, (theta+1)/2} maps to
+    {theta, 2x} + {theta, 2y}, any other pair to {2x, 2y}, and a pair
+    whose two images coincide counts as zero."""
+    orbit = []
+    t = theta
+    while t not in orbit:
+        orbit.append(t)
+        t = 2 * t % 1
+    lo, hi = theta / 2, (theta + 1) / 2
+
+    def side(x):  # 0 on the diameter, else the open half-circle
+        return 0 if x in (lo, hi) else 1 if lo < x < hi else 2
+
+    pairs = [frozenset(p) for p in itertools.combinations(orbit, 2)]
+    index = {p: i for i, p in enumerate(pairs)}
+    m = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
+    for p in pairs:
+        x, y = p
+        if side(x) * side(y) == 2:  # one on each open half-circle
+            images = [(theta, 2 * x % 1), (theta, 2 * y % 1)]
+        else:
+            images = [(2 * x % 1, 2 * y % 1)]
+        for a, b in images:
+            if a != b:
+                m[index[p], index[frozenset((a, b))]] += 1
+    return m
+
+
+def _thurston_entropy(theta) -> float:
+    """log rho of the pair matrix.  Zero is decided exactly: rho > 1
+    iff some strongly connected block has an internal row sum >= 2 (a
+    block whose internal rows all sum to 1 is a cycle, one without
+    internal entries has rho 0), and only those blocks go to eigvals."""
+    m = _thurston_pairs(theta)
+    n = len(m)
+    reach = (m > 0) | np.eye(n, dtype=bool)
+    for k in range(n):  # Warshall's transitive closure
+        reach |= np.outer(reach[:, k], reach[k])
+    rho = 0.0
+    for i in range(n):
+        block = np.flatnonzero(reach[i] & reach[:, i])
+        sub = m[np.ix_(block, block)]
+        if sub.sum(axis=1).max() >= 2:
+            rho = max(rho, max(abs(np.linalg.eigvals(sub.astype(float)))))
+    return math.log(rho) if rho else 0.0
+
+
+def test_entropy_matches_thurston_pair_algorithm():
+    # Thurston's algorithm on angles (Tiozzo, Invent. Math. 2016; Gao,
+    # TAMS 2020) against the Hubbard tree of angle_to_kneading(theta)
+    dens = [2 ** n - 1 for n in range(2, 8)]
+    dens += [2 ** k * (2 ** n - 1) for k in range(1, 3) for n in range(1, 5)]
+    angles = sorted({Fraction(k, d) for d in dens for k in range(1, d)})
+    assert len(angles) == 293
+    for theta in angles:
+        h = core_entropy(build_tree(angle_to_kneading(theta, 2)))
+        assert h == pytest.approx(_thurston_entropy(theta), abs=1e-9), theta
 
 
 # -- recurrence ------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from hubbardtrees import cli
@@ -214,6 +215,52 @@ def test_entropy_matrix_dump():
     assert "edges: 2" in r.stdout and "fatou" in r.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ("--nu", "(10001000*)"),
+    ("--nu", "(1000110*)"),
+    ("--nu", "(100110*)"),
+    ("--nu", "(10100*)"),
+    ("--nu", "(1011000*)"),
+    ("--nu", "(1100100*)"),
+    ("--degree", "3", "--nu", "(10100*)"),
+    ("--degree", "3", "--nu", "(12120*)"),
+])
+def test_entropy_last_digit_is_correctly_rounded(args, capsys):
+    # each of these lies within 1e-13 of a 12-decimal rounding boundary
+    assert main(["entropy", *args, "--matrix"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    edges = int(lines[1].split()[1])
+    rows = [[int(x) for x in ln.split()] for ln in lines[2 + edges:]]
+    with mpmath.workdps(40):
+        rho = max(abs(e) for e in mpmath.eig(mpmath.matrix(rows))[0])
+        digits = int(mpmath.nint(mpmath.log(rho) * 10 ** 12))
+    assert lines[0] == f"{digits // 10 ** 12}.{digits % 10 ** 12:012d}"
+
+
+_WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+                  "from hubbardtrees.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("args", [
+    ("classify", "--nu", "(10*)"),
+    ("entropy", "--nu", "(10*)", "--matrix"),
+])
+def test_cli_runs_without_numpy(args):
+    blocked = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *args],
+                             capture_output=True, text=True)
+    normal = run(*args)
+    assert normal.returncode == 0
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
+        normal.returncode, normal.stdout, normal.stderr)
+
+
+def test_cli_import_loads_no_numpy():
+    r = subprocess.run([sys.executable, "-c", "import sys, hubbardtrees.cli; "
+                        "print('numpy' in sys.modules)"],
+                       capture_output=True, text=True)
+    assert r.stdout == "False\n"
+
+
 # -- angle ------------------------------------------------------------------------------
 
 
@@ -244,6 +291,30 @@ def test_errors_are_one_line():
         r = run(*args)
         assert r.returncode != 0
         assert len(r.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["path", "--nu", "(10*)", "--depth", "-1"],
+    ["path", "--nu", "(10*)", "--depth", "0"],
+    ["tree", "--gen", "staircase", "--depth", "0"],
+    ["classify", "--nu", "(10*)", "--depth", "-2"],
+    ["tree", "--nu", "(10*)", "--max-vertices", "0"],
+    ["address", "--nu", "(10*)", "--max", "0"],
+    ["path", "--nu", "(10*)", "--depth", "two"],
+])
+def test_integer_options_below_one_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}: expected an integer >= 1" in err
+
+
+def test_integer_options_accept_one(capsys):
+    assert main(["path", "--nu", "(10*)", "--depth", "1"]) == 0
+    assert "stage=1" in capsys.readouterr().out
+    assert main(["address", "--nu", "1(10)", "--max", "1"]) == 0
+    assert capsys.readouterr().out == "1 -> ...\n"
 
 
 # -- determinism ----------------------------------------------------------------------------
