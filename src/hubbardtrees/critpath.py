@@ -6,6 +6,10 @@ grown by repeatedly inserting, between adjacent points ``a < b`` with
 compatible with both neighbours.  Pairs with ``diff = INF`` form gaps;
 those are closed by a pair of Fatou intervals around the gap's central
 itinerary.  Dyadic labels follow the midpoint rule exactly.
+
+Every point but ``nu`` is ``w*nu`` for a wildcard-free word ``w``, so the
+construction carries words: one scan of a pair gives its ``diff`` and the
+new point's word, whose depth is ``len(w) + 1``.
 """
 
 from __future__ import annotations
@@ -15,17 +19,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import NotAGap, NotStarPeriodic, TrivialKneadingSequence
-from .symbolic import (
-    EPSeq,
-    INF,
-    KneadingSequence,
-    STAR,
-    AnySeq,
-    diff,
-    format_sequence,
-    precritical,
-)
+from .errors import (DepthBudgetExceeded, NotAGap, NotStarPeriodic,
+                     TrivialKneadingSequence)
+from .symbolic import (EPSeq, INF, KneadingSequence, STAR, AnySeq,
+                       format_sequence, precritical)
+
+# the most points P_n may hold: all of stage 18 of a gap-free sequence, whose
+# `htree path` output takes up to about 9 s and 350 MB on a 2-vCPU machine
+MAX_PATH_POINTS = 2 ** 17 + 1
 
 
 @dataclass(frozen=True)
@@ -35,23 +36,16 @@ class PathPoint:
     kind is one of ``critical-point``, ``precritical``, ``critical-value``,
     ``central`` (a gap's central itinerary), ``limit`` (the lower sequence
     adjacent to ``nu``).  ``label`` is the exact dyadic parameter, or None
-    for limit points squeezed in without one.
+    for limit points squeezed in without one.  ``word`` is the ``w`` of a
+    point ``w*nu`` of depth ``len(w) + 1`` (empty for ``*nu``), and None
+    with the depth for the other kinds.
     """
 
     seq: AnySeq
     kind: str
     label: Optional[Fraction]
     depth: Optional[int] = None
-
-    def word(self) -> Optional[Tuple]:
-        """The ``w`` of a precritical point ``w*nu``."""
-        if self.depth is None:
-            return None
-        if self.seq.exact:
-            expand = [self.seq.at(i) for i in range(1, self.depth)]
-        else:
-            expand = list(self.seq.word[: self.depth - 1])
-        return tuple(expand)
+    word: Optional[Tuple] = None
 
 
 @dataclass(frozen=True)
@@ -83,27 +77,59 @@ def _require_nontrivial(nu: KneadingSequence) -> None:
         raise TrivialKneadingSequence("the trivial sequence has no critical path")
 
 
-def _merge_letters(a: AnySeq, b: AnySeq, upto: int) -> Tuple:
-    """Letters forced position-wise by two diff-INF-compatible sequences;
-    at each position at most one of them carries the wildcard."""
-    out = []
-    for i in range(1, upto + 1):
-        x, y = a.at(i), b.at(i)
-        if x is STAR:
-            assert y is not STAR, "adjacent path points share a wildcard position"
-            out.append(y)
-        else:
-            assert y is STAR or x == y, "merge called on differing sequences"
-            out.append(x)
-    return tuple(out)
+def _split(x: Tuple, y: Tuple, bound: int):
+    """``(k, letters)``: the first position ``k <= bound`` where the
+    letter words x and y carry different letters, and the letters forced
+    before it (a wildcard yields to the other side's letter).  Without
+    one, k is INF and the letters span all ``bound`` positions."""
+    stars = []  # where x yields its wildcard to y's letter
+    for i, a, b in zip(range(bound), x, y):
+        if a is b or a == b:
+            assert a is not STAR, "adjacent path points share a wildcard position"
+        elif a is STAR:
+            stars.append(i)
+        elif b is not STAR:
+            break
+    else:
+        i = bound
+    merged = list(x[:i])
+    for j in stars:
+        merged[j] = y[j]
+    return (i + 1 if i < bound else INF), tuple(merged)
 
 
-def _insert_between(a: AnySeq, b: AnySeq, nu: KneadingSequence):
-    """The depth-k point between adjacent a, b, or None for a gap."""
-    k = diff(a, b)
-    if k is INF:
-        return None
-    return precritical(_merge_letters(a, b, k - 1), nu)
+class _Words:
+    """The points ``w*nu`` of one kneading sequence, each given by its
+    word ``w``; the word None stands for ``nu`` itself."""
+
+    def __init__(self, nu: KneadingSequence):
+        self.nu = nu
+        s = nu.seq
+        # the letters of w*nu after w: the wildcard, then nu's letters,
+        # extended by whole periods as the words grow
+        self.suffix = (STAR,) + (s.pre + s.per if s.exact else s.word)
+
+    def split(self, wa, wb):
+        """:func:`_split` of ``w_a*nu`` and ``w_b*nu``.  For exact nu both
+        repeat with nu's period past position max(|w_a|, |w_b|) + 1 + |pre|,
+        so one more period settles ``diff``; for a prefix nu the scan stops
+        at the shorter side, the window of ``diff_within``."""
+        s = self.nu.seq
+        if s.exact:
+            bound = max(len(wa or ()), len(wb or ())) + 1 + len(s.pre) + len(s.per)
+            while len(self.suffix) <= bound:
+                self.suffix += s.per
+        suffix = self.suffix
+        x = suffix[1:] if wa is None else wa + suffix
+        y = suffix[1:] if wb is None else wb + suffix
+        return _split(x, y, bound if s.exact else min(len(x), len(y)))
+
+    def central(self, letters: Tuple) -> EPSeq:
+        """The central itinerary of an exact gap pair from the letters of
+        its split, whose last period repeats."""
+        s = self.nu.seq
+        p = len(s.per)
+        return EPSeq(letters[:-p], letters[-p:], s.degree)
 
 
 def build_pn(nu: KneadingSequence, n: int) -> CriticalPath:
@@ -113,75 +139,61 @@ def build_pn(nu: KneadingSequence, n: int) -> CriticalPath:
     point between every adjacent non-gap pair.  Hence |P_n| = 2^(n-1)+1
     exactly while no gap has appeared, and in general
     |P_{n+1}| = 2|P_n| - 1 - #gaps(P_n); a gap pair stays adjacent at
-    every later stage.
+    every later stage.  A stage past MAX_PATH_POINTS points raises
+    DepthBudgetExceeded before it is complete.
     """
     _require_nontrivial(nu)
     if n < 1:
         raise ValueError("stage must be at least 1")
-    star_nu = nu.critical_point()
-    points: List[Tuple[AnySeq, Fraction]] = [(star_nu, Fraction(0)),
-                                             (nu.seq, Fraction(1))]
-    for _ in range(n - 1):
-        nxt: List[Tuple[AnySeq, Fraction]] = [points[0]]
-        for (a, la), (b, lb) in zip(points, points[1:]):
-            p = _insert_between(a, b, nu)  # None on a gap pair; diff is cached
-            if p is not None:
-                nxt.append((p, (la + lb) / 2))
-            nxt.append((b, lb))
+    words = _Words(nu)
+    scale = 1 << (n - 1)  # labels are numerators over 2^(n-1)
+    points: List[Tuple] = [((), 0), (None, scale)]
+    for stage in range(2, n + 1):
+        nxt = [points[0]]
+        size = len(points)
+        for (wa, la), b in zip(points, points[1:]):
+            k, w = words.split(wa, b[0])
+            if k is not INF:
+                size += 1
+                if size > MAX_PATH_POINTS:
+                    raise DepthBudgetExceeded(
+                        f"P_{stage} of {nu} exceeds {MAX_PATH_POINTS} points")
+                nxt.append((w, (la + b[1]) >> 1))
+            nxt.append(b)
         points = nxt
+
+    last = len(points) - 1
+    out = [PathPoint(nu.critical_point(), "critical-point", Fraction(0),
+                     depth=1, word=())]
+    for w, num in points[1:last]:
+        out.append(PathPoint(precritical(w, nu), "precritical", Fraction(num, scale),
+                             depth=len(w) + 1, word=w))
+    out.append(PathPoint(nu.seq, "critical-value", Fraction(1)))
 
     # a no-difference answer certifies a gap only for exact sequences;
     # for truncated input it just means "unsplit within the window"
-    gaps = [Gap(a, b, central_between(a, b))
-            for (a, _), (b, _) in zip(points, points[1:])
-            if a.exact and b.exact and diff(a, b) is INF]
-
-    out = []
-    for i, (s, label) in enumerate(points):
-        if i == 0:
-            out.append(PathPoint(s, "critical-point", label, depth=1))
-        elif i == len(points) - 1:
-            out.append(PathPoint(s, "critical-value", label, depth=None))
-        else:
-            out.append(PathPoint(s, "precritical", label, depth=s.star_depth()))
+    gaps = []
+    if nu.exact:
+        for i in range(last):
+            k, letters = words.split(points[i][0], points[i + 1][0])
+            if k is INF:
+                gaps.append(Gap(out[i].seq, out[i + 1].seq, words.central(letters)))
     return CriticalPath(nu=nu, points=out, gaps=gaps, depth_built=n)
 
 
-def central_between(a: AnySeq, b: AnySeq) -> EPSeq:
-    """The unique wildcard-free sequence with diff = INF to both sides,
-    read position-wise from whichever side carries a letter."""
+def central_itinerary(gap: Gap, nu: KneadingSequence) -> EPSeq:
+    """The unique wildcard-free sequence with diff = INF to both sides of
+    the gap, read position-wise from whichever side carries a letter."""
+    a, b = gap.left, gap.right
     if not (a.exact and b.exact):
         raise NotAGap("gaps only occur for exact star-periodic sequences")
-    bound = max(len(a.pre), len(b.pre)) + math.lcm(len(a.per), len(b.per))
-    word = _merge_letters(a, b, bound)
     m = max(len(a.pre), len(b.pre))
-    return EPSeq(word[:m], word[m:], a.degree)
-
-
-def central_itinerary(gap: Gap, nu: KneadingSequence) -> EPSeq:
-    if diff(gap.left, gap.right) is not INF:
+    bound = m + math.lcm(len(a.per), len(b.per))
+    x, y = (s.pre + s.per * (bound // len(s.per) + 1) for s in (a, b))
+    k, word = _split(x, y, bound)
+    if k is not INF:
         raise NotAGap("pair has a finite first difference")
-    return central_between(gap.left, gap.right)
-
-
-def nu_neighbor_chain(nu: KneadingSequence, min_depth: int) -> List[AnySeq]:
-    """Successive points adjacent to ``nu`` on the path, refined locally
-    until the neighbour's depth exceeds ``min_depth``.
-
-    Refining just this one pair gives the same neighbours as running the
-    full stage recursion, at linear instead of exponential cost.
-    """
-    _require_nontrivial(nu)
-    chain = [nu.critical_point()]
-    while True:
-        cur = chain[-1]
-        d = cur.star_depth()
-        if d is not None and d > min_depth:
-            return chain
-        p = _insert_between(cur, nu.seq, nu)
-        if p is None:
-            return chain  # gap reached; the neighbour is final
-        chain.append(p)
+    return EPSeq(word[:m], word[m:], a.degree)
 
 
 def lower_sequence(nu: KneadingSequence) -> EPSeq:
@@ -191,26 +203,25 @@ def lower_sequence(nu: KneadingSequence) -> EPSeq:
     For standard bifurcations omega is the central itinerary of the gap
     adjacent to nu; otherwise the letter is read off a deep enough
     neighbour of nu (stabilized past depth 2p, re-checked at 4p).
+    Refining just the pair at nu gives the same neighbours as the full
+    stage recursion, at linear instead of exponential cost.
     """
     if not nu.star_periodic:
         raise NotStarPeriodic("the lower sequence exists for star-periodic nu only")
     _require_nontrivial(nu)
     p = nu.period
+    words = _Words(nu)
+    chain = [()]  # the words of the successive neighbours w*nu of nu
+    while True:
+        k, w = words.split(chain[-1], None)
+        if k is INF:
+            return words.central(w)  # a gap: omega is its central itinerary
+        if len(chain[-1]) >= 4 * p:  # its depth len(w) + 1 is past 4p
+            break
+        chain.append(w)
 
-    chain = nu_neighbor_chain(nu, 4 * p)
-    last = chain[-1]
-    if diff(last, nu.seq) is INF:
-        return central_between(last, nu.seq)
-
-    def letter_at_depth(min_depth):
-        for pt in chain:
-            d = pt.star_depth()
-            if d is not None and d > min_depth:
-                return pt.at(p)
-        raise AssertionError("neighbour chain stopped before requested depth")
-
-    e = letter_at_depth(2 * p)
-    assert e == letter_at_depth(4 * p), "lower-sequence letter failed to stabilize"
+    e, e4 = (next(w[p - 1] for w in chain if len(w) >= d) for d in (2 * p, 4 * p))
+    assert e == e4, "lower-sequence letter failed to stabilize"
     word = tuple(e if x is STAR else x for x in nu.seq.per)
     return EPSeq((), word, nu.degree)
 
@@ -266,12 +277,14 @@ def alpha_point(nu: KneadingSequence, chain_length: int = 12) -> AlphaWitness:
     if nu.exact and not nu.seq.pre and all(x is STAR or x == 1 for x in letters):
         return AlphaWitness(alpha, "gap-central")
 
-    rho = [nu.seq, nu.critical_point()]
+    words = _Words(nu)
+    rho = [None, ()]  # the words of nu and *nu
     while len(rho) < chain_length:
-        p = _insert_between(rho[-1], rho[-2], nu)
-        if p is None:
+        k, w = words.split(rho[-1], rho[-2])
+        if k is INF:
             break
-        rho.append(p)
+        rho.append(w)
+    rho = [nu.seq if w is None else precritical(w, nu) for w in rho]
     return AlphaWitness(alpha, "rho-chain", tuple(rho))
 
 
@@ -308,15 +321,12 @@ def path_table(path: CriticalPath) -> str:
         if pt.kind == "critical-value":
             word = "-"
         elif pt.depth is not None:
-            w = pt.word()
-            word = "".join("*" if x is STAR else str(x) for x in w) if w else "e"
+            word = "".join(map(str, pt.word)) or "e"  # words carry no wildcard
         else:
             word = format_sequence(pt.seq)
         depth = str(pt.depth) if pt.depth is not None else "-"
         rows.append((str(i), pt.kind, depth, word, _fmt_label(pt.label),
                      ",".join(markers)))
 
-    widths = [max(len(r[c]) for r in rows) for c in range(6)]
-    lines = ["  ".join(r[c].ljust(widths[c]) for c in range(6)).rstrip()
-             for r in rows]
-    return "\n".join(lines) + "\n"
+    line = "  ".join(f"{{:<{max(map(len, col))}}}" for col in zip(*rows))
+    return "".join(line.format(*r).rstrip() + "\n" for r in rows)

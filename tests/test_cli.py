@@ -1,6 +1,8 @@
 """Command-line behaviour: outputs, exit codes, determinism, batch mode."""
 
+import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -12,10 +14,15 @@ from hubbardtrees import cli
 from hubbardtrees.cli import main
 
 CMD = [sys.executable, "-m", "hubbardtrees.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# child processes do not see pytest's pythonpath setting: put src/ first on
+# theirs, so the suite runs from a plain checkout
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True)
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, env=ENV)
 
 
 # -- path -------------------------------------------------------------------------
@@ -40,6 +47,46 @@ def test_path_period4_gap_row():
     r = run("path", "--degree", "2", "--nu", "(101*)", "--depth", "2")
     assert r.returncode == 0
     assert "(10)" in r.stdout and "gap-central" in r.stdout
+
+
+# SHA-256 of the text and JSON output of `htree path ARGS`, as printed by the
+# per-symbol construction that the word-level one replaced
+PATH_GOLDEN = {
+    ("--prefix", "--nu", "1011011100"): (
+        "763262741904eabd34fe163270669e1901afd6986c78fe9a801ba1f70f157d7d",
+        "c96dd627c14d2598e77ae357914b22be56ea80f749d62f3609ba700b725a4fa4"),
+    ("--gen", "feigenbaum"): (
+        "21f9a5e9c29c18e3fb7ee45ad67cbac39cdda5cec7e455cba37a963e3724317c",
+        "4537a7a9a34d77e4737c6e63b434f1ed3d420487d332389e86f2ab0a9249f1d9"),
+    ("--degree", "3", "--nu", "(12*)"): (
+        "6026609f6f392f2a185cdfef366bfca814d82ead991f0db58e160587c5d58e4b",
+        "34cd2a3ca71ca5ba808823915701685cdbeb73fe41c3858a7c1993c8ee23ac7d"),
+    ("--degree", "inf", "--nu", "[|1,5,*]"): (
+        "64ad9d14f0903fc0d5d6c95bd87b23f681ad9c62993f4c1e56030ca2d170f119",
+        "649432a3612e9f57e2de6fa9d6f416e0dc1ca6febe3823aba7882bf786635212"),
+    ("--nu", "(1*)"): (
+        "03c60f1e79d22a2afa53dc4326cb2955a2e63307514d4148e4ea72e20740b8da",
+        "d99bf6f8638e561f876df75d6754cb29f7c52fc6a068e03bafcca1323f7130d3"),
+}
+
+
+@pytest.mark.parametrize("args", list(PATH_GOLDEN))
+def test_path_output_is_byte_identical_to_golden(args, capsys):
+    for fmt, want in zip(("text", "json"), PATH_GOLDEN[args]):
+        assert main(["path", *args, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (args, fmt)
+
+
+def test_path_point_budget_exits_3(monkeypatch, capsys):
+    from hubbardtrees import critpath
+
+    monkeypatch.setattr(critpath, "MAX_PATH_POINTS", 9)
+    assert main(["path", "--nu", "(10*)", "--depth", "4"]) == 0
+    capsys.readouterr()
+    assert main(["path", "--nu", "(10*)", "--depth", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: depth budget exhausted: P_5 of (10*) exceeds 9 points\n"
 
 
 # -- tree ----------------------------------------------------------------------------
@@ -247,7 +294,7 @@ _WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
 ])
 def test_cli_runs_without_numpy(args):
     blocked = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *args],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=ENV)
     normal = run(*args)
     assert normal.returncode == 0
     assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
@@ -257,7 +304,7 @@ def test_cli_runs_without_numpy(args):
 def test_cli_import_loads_no_numpy():
     r = subprocess.run([sys.executable, "-c", "import sys, hubbardtrees.cli; "
                         "print('numpy' in sys.modules)"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=ENV)
     assert r.stdout == "False\n"
 
 

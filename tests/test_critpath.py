@@ -1,7 +1,12 @@
 """Critical path construction: P_n, gaps, central itineraries, omega."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import pytest
 
+from hubbardtrees import critpath
 from hubbardtrees.critpath import (
     alpha_point,
     build_critical_path,
@@ -10,14 +15,24 @@ from hubbardtrees.critpath import (
     lower_sequence,
     path_table,
 )
-from hubbardtrees.errors import NotStarPeriodic, TrivialKneadingSequence
+from hubbardtrees.errors import (
+    DepthBudgetExceeded,
+    NotStarPeriodic,
+    PeriodicWithoutStar,
+    TrivialKneadingSequence,
+)
+from hubbardtrees.generators import make
 from hubbardtrees.symbolic import (
     EPSeq,
     INF,
     STAR,
+    angle_to_kneading,
     diff,
     format_sequence,
     kneading,
+    parse_prefix,
+    precritical,
+    validate_kneading,
 )
 
 from conftest import star_periodic_sequences
@@ -107,6 +122,104 @@ def _oracle_pn_pre(pre, per, n):
             out.append(b)
         pts = out
     return pts
+
+
+# -- the per-symbol construction, kept as a reference -------------------------
+#
+# build_pn carries each point as its word w and splits a pair in one scan.
+# This is the stage loop it replaced: diff on the two sequences, the merged
+# letters read through at(), the new point built as a sequence and its depth
+# re-read with star_depth().
+
+
+def _ref_merge_letters(a, b, upto):
+    out = []
+    for i in range(1, upto + 1):
+        x, y = a.at(i), b.at(i)
+        assert x is not STAR or y is not STAR
+        out.append(y if x is STAR else x)
+    return tuple(out)
+
+
+def _ref_pn(nu, n):
+    """(seq, label, depth, word) per point of P_n, and (left, right,
+    central) per gap."""
+    points = [(nu.critical_point(), Fraction(0)), (nu.seq, Fraction(1))]
+    for _ in range(n - 1):
+        nxt = [points[0]]
+        for (a, la), (b, lb) in zip(points, points[1:]):
+            k = diff(a, b)
+            if k is not INF:
+                w = _ref_merge_letters(a, b, k - 1)
+                nxt.append((precritical(w, nu), (la + lb) / 2))
+            nxt.append((b, lb))
+        points = nxt
+    rows = []
+    for i, (s, label) in enumerate(points):
+        depth = (1 if i == 0 else None if i == len(points) - 1
+                 else s.star_depth())
+        word = None if depth is None else tuple(s.at(j) for j in range(1, depth))
+        rows.append((s, label, depth, word))
+    gaps = []
+    for (a, _), (b, _) in zip(points, points[1:]):
+        if a.exact and b.exact and diff(a, b) is INF:
+            m = max(len(a.pre), len(b.pre))
+            letters = _ref_merge_letters(a, b, m + math.lcm(len(a.per), len(b.per)))
+            gaps.append((a, b, EPSeq(letters[:m], letters[m:], a.degree)))
+    return rows, gaps
+
+
+def _word_level_inputs():
+    for kn in star_periodic_sequences(8):
+        yield kn
+    for n in range(1, 5):
+        for k in range(3 ** n - 1):
+            yield angle_to_kneading(Fraction(k, 3 ** n - 1), 3)
+    for k in range(18):
+        yield angle_to_kneading(Fraction(k, 18), 3)
+    for text in ["[|1,5,*]", "[|1,2,*]", "[|1,0,*]", "[|1,3,0,*]",
+                 "[|1,-2,4,*]", "[|1,1,2,*]", "[1,7|3,2]", "[1|0]", "[1,2|5]"]:
+        yield kneading(text, INF)
+    for lp, lq in itertools.product((1, 2, 3), (1, 2, 3)):
+        for bits in itertools.product("01", repeat=lp + lq - 1):
+            text = "1" + "".join(bits[:lp - 1]) + "(" + "".join(bits[lp - 1:]) + ")"
+            try:
+                yield kneading(text)
+            except PeriodicWithoutStar:
+                continue  # 1(1) and the like are purely periodic
+    for bits in itertools.product("01", repeat=5):
+        yield validate_kneading(parse_prefix("1" + "".join(bits)))
+    yield validate_kneading(parse_prefix("1011011100"))
+    for name, depth, params in [("staircase", 12, ""), ("feigenbaum", 8, ""),
+                                ("feigenbaum", 16, ""), ("address", 16, "1,2,4"),
+                                ("prefix", 16, "110100")]:
+        yield make(name, depth=depth, params=params)
+
+
+def test_word_level_path_matches_per_symbol_reference():
+    seen = gapped = 0
+    for kn in _word_level_inputs():
+        if kn.trivial:
+            continue
+        path = build_pn(kn, 8)
+        seen, gapped = seen + 1, gapped + bool(path.gaps)
+        rows, gaps = _ref_pn(kn, 8)
+        got = [(pt.seq, pt.label, pt.depth, pt.word) for pt in path.points]
+        assert got == rows, str(kn)
+        assert [(g.left, g.right, g.central) for g in path.gaps] == gaps, str(kn)
+    assert (seen, gapped) == (375, 65)
+
+
+def test_point_budget(monkeypatch):
+    monkeypatch.setattr(critpath, "MAX_PATH_POINTS", 13)
+    assert len(build_pn(kneading("(10*)"), 4).points) == 9
+    with pytest.raises(DepthBudgetExceeded):
+        build_pn(kneading("(10*)"), 5)
+    # gaps keep paths small: 13 points at stage 5, 21 at stage 6
+    assert len(build_pn(kneading("(10010*)"), 5).points) == 13
+    with pytest.raises(DepthBudgetExceeded):
+        build_pn(kneading("(10010*)"), 6)
+    assert len(build_pn(kneading("(1*)"), 40).points) == 2
 
 
 # -- examples ------------------------------------------------------------------
