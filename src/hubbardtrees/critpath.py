@@ -103,8 +103,7 @@ class _Words:
     word ``w``; the word None stands for ``nu`` itself."""
 
     def __init__(self, nu: KneadingSequence):
-        self.nu = nu
-        s = nu.seq
+        self.seq = s = nu.seq
         # the letters of w*nu after w: the wildcard, then nu's letters,
         # extended by whole periods as the words grow
         self.suffix = (STAR,) + (s.pre + s.per if s.exact else s.word)
@@ -114,7 +113,7 @@ class _Words:
         repeat with nu's period past position max(|w_a|, |w_b|) + 1 + |pre|,
         so one more period settles ``diff``; for a prefix nu the scan stops
         at the shorter side, the window of ``diff_within``."""
-        s = self.nu.seq
+        s = self.seq
         if s.exact:
             bound = max(len(wa or ()), len(wb or ())) + 1 + len(s.pre) + len(s.per)
             while len(self.suffix) <= bound:
@@ -127,7 +126,7 @@ class _Words:
     def central(self, letters: Tuple) -> EPSeq:
         """The central itinerary of an exact gap pair from the letters of
         its split, whose last period repeats."""
-        s = self.nu.seq
+        s = self.seq
         p = len(s.per)
         return EPSeq(letters[:-p], letters[-p:], s.degree)
 
@@ -220,8 +219,11 @@ def lower_sequence(nu: KneadingSequence) -> EPSeq:
             break
         chain.append(w)
 
-    e, e4 = (next(w[p - 1] for w in chain if len(w) >= d) for d in (2 * p, 4 * p))
-    assert e == e4, "lower-sequence letter failed to stabilize"
+    def letter_past(depth):  # at position p of the first neighbour deeper
+        return next(w[p - 1] for w in chain if len(w) >= depth)
+
+    e = letter_past(2 * p)
+    assert e == letter_past(4 * p), "lower-sequence letter failed to stabilize"
     word = tuple(e if x is STAR else x for x in nu.seq.per)
     return EPSeq((), word, nu.degree)
 
@@ -328,5 +330,6 @@ def path_table(path: CriticalPath) -> str:
         rows.append((str(i), pt.kind, depth, word, _fmt_label(pt.label),
                      ",".join(markers)))
 
+    # each column left-justified to its widest cell
     line = "  ".join(f"{{:<{max(map(len, col))}}}" for col in zip(*rows))
     return "".join(line.format(*r).rstrip() + "\n" for r in rows)
