@@ -8,6 +8,7 @@ error, 3 depth budget exhausted, 4 mode mismatch (finite tree required).
 from __future__ import annotations
 
 import argparse
+import functools
 import shlex
 import sys
 from fractions import Fraction
@@ -323,6 +324,7 @@ def _add_common(p, with_format=True):
                        choices=["text", "dot", "json", "svg"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="htree",
@@ -380,12 +382,12 @@ def _call(args) -> tuple:
         return EXIT_MODE, f"error: finite tree required: {exc}\n"
 
 
-def _run_one(ap, argv) -> tuple:
-    """(exit_code, stdout_text) of one batch line parsed with ap.  A line
-    with --out writes its output to that file, as main does, and leaves
-    nothing for stdout."""
+def _run_one(argv) -> tuple:
+    """(exit_code, stdout_text) of one batch line.  A line with --out
+    writes its output to that file, as main does, and leaves nothing for
+    stdout."""
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return (exc.code if exc.code else EXIT_PARSE), ""
     if args.command is None:
@@ -397,7 +399,7 @@ def _run_one(ap, argv) -> tuple:
     return code, text
 
 
-def _run_batch(ap, path: str) -> int:
+def _run_batch(path: str) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
@@ -408,7 +410,7 @@ def _run_batch(ap, path: str) -> int:
         return EXIT_PARSE
     worst = 0
     for argv in jobs:
-        code, text = _run_one(ap, argv)
+        code, text = _run_one(argv)
         sys.stdout.write(f"### {' '.join(argv)}\n")
         sys.stdout.write(text)
         if code:
@@ -417,10 +419,13 @@ def _run_batch(ap, path: str) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one htree command line (sys.argv by default); returns the exit
+    code.  The parser is built on the first call and shared by every later
+    call and every --batch line in the process."""
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.batch is not None:
-        return _run_batch(ap, args.batch)
+        return _run_batch(args.batch)
     if args.command is None:
         ap.print_help()
         return EXIT_PARSE

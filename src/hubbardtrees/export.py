@@ -27,9 +27,8 @@ def _meta(tree: HubbardTree) -> dict:
 
 def _nodes_edges(tree: HubbardTree):
     order = vertex_order(tree)
-    by_id = sorted(order, key=lambda v: order[v])
     nodes = []
-    for v in by_id:
+    for v in order:  # insertion order is id order
         kind = tree.kind_of(v)
         nodes.append({
             "id": order[v],
@@ -37,15 +36,9 @@ def _nodes_edges(tree: HubbardTree):
             "kind": kind,
             "depth": 0 if kind == "critical-value" else v.star_depth(),
         })
-    edges = sorted(
-        (sorted((order[u], order[v])) for u, v in tree.edges()),
-    )
-    fatou = {}
-    for u, v in tree.edges():
-        key = tuple(sorted((order[u], order[v])))
-        fatou[key] = tree.is_fatou_edge(u, v)
-    edge_objs = [{"a": a, "b": b, "fatou": fatou[(a, b)]} for a, b in edges]
-    return nodes, edge_objs
+    edges = sorted((*sorted((order[u], order[v])), tree.is_fatou_edge(u, v))
+                   for u, v in tree.edges())
+    return nodes, [{"a": a, "b": b, "fatou": f} for a, b, f in edges]
 
 
 def tree_to_json(tree: HubbardTree) -> str:

@@ -398,7 +398,7 @@ def vertex_order(tree: HubbardTree) -> Dict[AnySeq, int]:
                 if v not in order:
                     order[v] = len(order)
                     nxt.append(v)
-        queue = sorted(nxt, key=lambda s: order[s])
+        queue = nxt
     return order
 
 

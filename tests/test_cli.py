@@ -1,11 +1,13 @@
 """Command-line behaviour: outputs, exit codes, determinism, batch mode."""
 
+import argparse
 import hashlib
 import json
 import os
 import shlex
 import subprocess
 import sys
+import threading
 
 import mpmath
 import pytest
@@ -419,20 +421,94 @@ def test_batch_out_writes_the_file(tmp_path):
     assert target.read_text() == lone.read_text() == "0.481211825060\n"
 
 
-def test_batch_builds_one_parser(tmp_path, monkeypatch, capsys):
+def test_one_parser_per_process(tmp_path, monkeypatch, capsys):
     built = []
+    real_init = argparse.ArgumentParser.__init__
 
-    def counting_parser():
-        built.append(1)
-        return real_parser()
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "htree":
+            built.append(1)
+        real_init(self, *args, **kwargs)
 
-    real_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", counting_parser)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     batch = tmp_path / "jobs.txt"
     batch.write_text("angle --theta 1/7\n" * 3)
-    assert main(["--batch", str(batch)]) == 0
-    assert len(built) == 1
+    for argv in (["angle", "--theta", "1/7"], ["tree", "--nu", "(10*)"],
+                 ["classify", "--nu", "(101*)"], ["--batch", str(batch)],
+                 ["entropy", "--nu", "(10*)"], ["path", "--nu", "(1*)"]):
+        assert main(argv) == 0
+    assert len(built) <= 1
     assert capsys.readouterr().out.count("### angle --theta 1/7\n") == 3
+
+
+def _in_process(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_shared_parser_carries_no_state(monkeypatch, capsys):
+    # the parser is built once per process: each call, errors and help
+    # included, must print what a fresh process prints
+    calls = [["tree", "--depth", "0"], ["bogus"], ["angle"], ["--help"]]
+    calls += [[cmd, "--help"] for cmd in
+              ("path", "tree", "classify", "address", "entropy", "angle")]
+    calls.append(["tree", "--nu", "(10*)", "--format", "json"])
+    env = {**ENV, "COLUMNS": "80"}
+    procs = [subprocess.Popen(CMD + argv, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env)
+             for argv in calls]
+    fresh = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=60)
+        fresh.append((proc.returncode, out, err))
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, expected in zip(calls, fresh):
+        assert _in_process(argv, capsys) == expected, argv
+
+    # the wrap width is read when help is printed, not when the parser is built
+    monkeypatch.setenv("COLUMNS", "50")
+    narrow = _in_process(["tree", "--help"], capsys)[1]
+    monkeypatch.setenv("COLUMNS", "120")
+    wide = _in_process(["tree", "--help"], capsys)[1]
+    assert max(map(len, narrow.splitlines())) <= 50
+    assert max(map(len, wide.splitlines())) > 50
+    assert narrow != wide
+
+
+def test_shared_parser_parses_from_threads():
+    ap = cli.build_parser()
+    argvs = [["tree", "--nu", "(10*)", "--format", "json"],
+             ["classify", "--degree", "3", "--nu", "(12*)", "--depth", "4"],
+             ["address", "--from", "1,2,4"],
+             ["entropy", "--gen", "staircase", "--matrix"],
+             ["angle", "--theta", "1/7", "--out", "x.txt"],
+             ["--batch", "jobs.txt"]]
+    serial = [ap.parse_args(argv) for argv in argvs]
+    results = {}
+
+    def worker(k):
+        order = argvs[k:] + argvs[:k]
+        results[k] = [[ap.parse_args(argv) for argv in order]
+                      for _ in range(50)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(4):
+        expected = serial[k:] + serial[:k]
+        assert all(rounds == expected for rounds in results[k])
 
 
 def test_batch_without_file_is_a_usage_error(capsys):
