@@ -33,7 +33,6 @@ from .critpath import (
     alpha_point,
     build_critical_path,
     build_pn,
-    central_itinerary,
     lower_sequence,
     path_table,
 )
@@ -43,7 +42,6 @@ from .symbolic import (
     EPSeq,
     INF,
     KneadingSequence,
-    PrefixSequence,
     STAR,
     angle_to_kneading,
     diff,

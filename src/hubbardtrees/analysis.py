@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .critpath import build_pn
+from .critpath import nu_chain
 from .errors import (
     BadLeadingSymbol,
     CriticalOrbit,
@@ -28,7 +28,6 @@ from .symbolic import (
     INF,
     KneadingSequence,
     STAR,
-    AnySeq,
     diff_within,
     is_bifurcation,
     validate_kneading,
@@ -47,7 +46,7 @@ class ValencyReport:
     vertices_used: int
 
 
-def _closed_with(tree: HubbardTree, points: Sequence[AnySeq]) -> HubbardTree:
+def _closed_with(tree: HubbardTree, points: Sequence[EPSeq]) -> HubbardTree:
     """A copy of the tree with the points inserted, closed if finite."""
     t = tree.copy()
     for s in points:
@@ -55,7 +54,7 @@ def _closed_with(tree: HubbardTree, points: Sequence[AnySeq]) -> HubbardTree:
     return sigma_closure(t) if t.finite else t
 
 
-def valency(tree: HubbardTree, tau: AnySeq) -> ValencyReport:
+def valency(tree: HubbardTree, tau: EPSeq) -> ValencyReport:
     """Number of global arms at tau in the tree spanned by the critical
     orbit and the orbit of tau.
 
@@ -68,8 +67,8 @@ def valency(tree: HubbardTree, tau: AnySeq) -> ValencyReport:
                          vertices_used=len(t.adj))
 
 
-def germ_image(tree: HubbardTree, x: AnySeq, toward: AnySeq
-               ) -> Tuple[AnySeq, AnySeq]:
+def germ_image(tree: HubbardTree, x: EPSeq, toward: EPSeq
+               ) -> Tuple[EPSeq, EPSeq]:
     """One shift step of the local arm at x pointing toward the
     neighbouring vertex `toward`; requires a sigma-closed vertex set."""
     sx, su = x.tail(), toward.tail()
@@ -79,8 +78,8 @@ def germ_image(tree: HubbardTree, x: AnySeq, toward: AnySeq
     return sx, path[1]
 
 
-def first_return_arm_map(tree: HubbardTree, tau: AnySeq, period: int
-                         ) -> Dict[AnySeq, AnySeq]:
+def first_return_arm_map(tree: HubbardTree, tau: EPSeq, period: int
+                         ) -> Dict[EPSeq, EPSeq]:
     """Where the first-return map sends each local arm at tau, as a map
     on neighbouring vertices."""
     out = {}
@@ -99,7 +98,7 @@ def first_return_arm_map(tree: HubbardTree, tau: AnySeq, period: int
 
 @dataclass(frozen=True)
 class OrbitReport:
-    characteristic: Optional[AnySeq]
+    characteristic: Optional[EPSeq]
     period: int
     arms: int
     kind: str  # "endpoints" | "primitive" | "satellite" | "evil"
@@ -191,7 +190,7 @@ def _orbit_kind(perm: Dict, arms: int, crit_arm) -> str:
 
 @dataclass(frozen=True)
 class BranchPoint:
-    point: AnySeq
+    point: EPSeq
     valency: int
     kind: str  # "periodic" | "preperiodic" | "precritical" | "critical-orbit"
     steps_to_cycle: int = 0
@@ -263,14 +262,14 @@ def _raw_ne(x, y) -> bool:
     return x is not y and x != y
 
 
-def _rho(s: AnySeq, gap: int) -> Optional[int]:
+def _rho(s: EPSeq, gap: int) -> Optional[int]:
     """First k > gap with s_k differing from s_{k-gap}, wildcard strict;
     None when the self-comparison matches forever (or past the trusted
     window for truncated input)."""
     if s.exact:
         bound = len(s.pre) + gap + len(s.per)
     else:
-        bound = len(s.word)
+        bound = len(s.pre)
     for k in range(gap + 1, bound + 1):
         if _raw_ne(s.at(k), s.at(k - gap)):
             return k
@@ -303,10 +302,10 @@ def internal_address(s, max_entries: int = 32) -> InternalAddress:
         if nxt is None:
             if s.exact:
                 return InternalAddress(tuple(entries), True)
-            return InternalAddress(tuple(entries), False, valid_to=len(s.word))
+            return InternalAddress(tuple(entries), False, valid_to=len(s.pre))
         entries.append(nxt)
     return InternalAddress(tuple(entries), False,
-                           valid_to=None if s.exact else len(s.word))
+                           valid_to=None if s.exact else len(s.pre))
 
 
 def address_chain(entries: Sequence[int]) -> List[Tuple[int, ...]]:
@@ -346,15 +345,16 @@ class BifurcationClass:
 
 
 def classify_bifurcation(nu: KneadingSequence) -> BifurcationClass:
-    """Standard iff the insertion recursion develops a gap (by stage p);
-    for degree 2 this provably agrees with the base period occurring in
-    the internal address, and the agreement is asserted."""
+    """Standard iff the insertion recursion develops a gap, which for a
+    bifurcation lies at nu: the one-pair refinement at nu (nu_chain) ends
+    in a gap.  For degree 2 this provably agrees with the base period
+    occurring in the internal address, and the agreement is asserted."""
     if not nu.star_periodic:
         raise NotStarPeriodic("bifurcation classes exist for star-periodic nu")
     bif = is_bifurcation(nu)
     if bif is None:
         return BifurcationClass("none")
-    has_gap = bool(build_pn(nu, nu.period).gaps)
+    has_gap = nu_chain(nu)[1] is not None
     if nu.degree == 2:
         in_addr = bif.q in internal_address(nu).entries
         assert in_addr == has_gap, (

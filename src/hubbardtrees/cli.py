@@ -38,7 +38,6 @@ from .symbolic import (
     EPSeq,
     INF,
     KneadingSequence,
-    PrefixSequence,
     STAR,
     angle_to_kneading,
     format_sequence,
@@ -67,10 +66,9 @@ def _normalize_symbols(seq):
             table[sym] = len(table) + 1
         return table[sym]
 
-    if seq.exact:
-        return EPSeq(tuple(map(relabel, seq.pre)),
-                     tuple(map(relabel, seq.per)), seq.degree)
-    return PrefixSequence(tuple(map(relabel, seq.word)), seq.degree)
+    pre = tuple(map(relabel, seq.pre))  # first: labels follow first occurrence
+    per = None if seq.per is None else tuple(map(relabel, seq.per))
+    return EPSeq(pre, per, seq.degree)
 
 
 def resolve_input(args) -> KneadingSequence:
@@ -251,9 +249,7 @@ def cmd_address(args) -> str:
         seq = parse_sequence(args.nu, parse_degree(args.degree))
         addr = internal_address(seq, max_entries=args.max_entries)
     else:
-        kn = resolve_input(args)
-        addr = internal_address(kn if kn.exact else kn.seq,
-                                max_entries=args.max_entries)
+        addr = internal_address(resolve_input(args), max_entries=args.max_entries)
     text = " -> ".join(str(e) for e in addr.entries)
     if not addr.finite and addr.valid_to is not None:
         text += f"  (truncated input, valid to depth {addr.valid_to})"

@@ -14,15 +14,14 @@ new point's word, whose depth is ``len(w) + 1``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import (DepthBudgetExceeded, NotAGap, NotStarPeriodic,
+from .errors import (DepthBudgetExceeded, NotStarPeriodic,
                      TrivialKneadingSequence)
-from .symbolic import (EPSeq, INF, KneadingSequence, STAR, AnySeq,
-                       format_sequence, precritical)
+from .symbolic import (EPSeq, INF, KneadingSequence, STAR, format_sequence,
+                       precritical)
 
 # the most points P_n may hold: all of stage 18 of a gap-free sequence, whose
 # `htree path` output takes up to about 9 s and 350 MB on a 2-vCPU machine
@@ -41,7 +40,7 @@ class PathPoint:
     with the depth for the other kinds.
     """
 
-    seq: AnySeq
+    seq: EPSeq
     kind: str
     label: Optional[Fraction]
     depth: Optional[int] = None
@@ -50,17 +49,17 @@ class PathPoint:
 
 @dataclass(frozen=True)
 class Gap:
-    left: AnySeq
-    right: AnySeq
-    central: AnySeq
+    left: EPSeq
+    right: EPSeq
+    central: EPSeq
 
 
 @dataclass(frozen=True)
 class FatouInterval:
     """An abstract arc between a diff-INF pair; ``a`` precedes ``b``."""
 
-    a: AnySeq
-    b: AnySeq
+    a: EPSeq
+    b: EPSeq
 
 
 @dataclass
@@ -106,7 +105,7 @@ class _Words:
         self.seq = s = nu.seq
         # the letters of w*nu after w: the wildcard, then nu's letters,
         # extended by whole periods as the words grow
-        self.suffix = (STAR,) + (s.pre + s.per if s.exact else s.word)
+        self.suffix = (STAR,) + s.pre + (s.per or ())
 
     def split(self, wa, wb):
         """:func:`_split` of ``w_a*nu`` and ``w_b*nu``.  For exact nu both
@@ -180,28 +179,14 @@ def build_pn(nu: KneadingSequence, n: int) -> CriticalPath:
     return CriticalPath(nu=nu, points=out, gaps=gaps, depth_built=n)
 
 
-def central_itinerary(gap: Gap, nu: KneadingSequence) -> EPSeq:
-    """The unique wildcard-free sequence with diff = INF to both sides of
-    the gap, read position-wise from whichever side carries a letter."""
-    a, b = gap.left, gap.right
-    if not (a.exact and b.exact):
-        raise NotAGap("gaps only occur for exact star-periodic sequences")
-    m = max(len(a.pre), len(b.pre))
-    bound = m + math.lcm(len(a.per), len(b.per))
-    x, y = (s.pre + s.per * (bound // len(s.per) + 1) for s in (a, b))
-    k, word = _split(x, y, bound)
-    if k is not INF:
-        raise NotAGap("pair has a finite first difference")
-    return EPSeq(word[:m], word[m:], a.degree)
+def nu_chain(nu: KneadingSequence) -> Tuple[List[Tuple], Optional[EPSeq]]:
+    """The one-pair refinement of the critical path at a star-periodic
+    nu, as ``(chain, central)``.
 
-
-def lower_sequence(nu: KneadingSequence) -> EPSeq:
-    """The unique itinerary ``omega`` bounding the Fatou interval at nu:
-    nu with every wildcard replaced by one fixed letter.
-
-    For standard bifurcations omega is the central itinerary of the gap
-    adjacent to nu; otherwise the letter is read off a deep enough
-    neighbour of nu (stabilized past depth 2p, re-checked at 4p).
+    chain holds the words w of the successive neighbours w*nu of nu, each
+    splitting the pair of the one before and nu, up to the first one past
+    depth 4p.  If a pair has no difference first, the chain stops there
+    and central is the central itinerary of that gap; else it is None.
     Refining just the pair at nu gives the same neighbours as the full
     stage recursion, at linear instead of exponential cost.
     """
@@ -210,14 +195,29 @@ def lower_sequence(nu: KneadingSequence) -> EPSeq:
     _require_nontrivial(nu)
     p = nu.period
     words = _Words(nu)
-    chain = [()]  # the words of the successive neighbours w*nu of nu
+    chain = [()]
     while True:
         k, w = words.split(chain[-1], None)
         if k is INF:
-            return words.central(w)  # a gap: omega is its central itinerary
+            return chain, words.central(w)
         if len(chain[-1]) >= 4 * p:  # its depth len(w) + 1 is past 4p
-            break
+            return chain, None
         chain.append(w)
+
+
+def lower_sequence(nu: KneadingSequence) -> EPSeq:
+    """The unique itinerary ``omega`` bounding the Fatou interval at nu:
+    nu with every wildcard replaced by one fixed letter.
+
+    For standard bifurcations omega is the central itinerary of the gap
+    adjacent to nu; otherwise the letter is read off a deep enough
+    neighbour of nu in :func:`nu_chain` (stabilized past depth 2p,
+    re-checked at 4p).
+    """
+    chain, central = nu_chain(nu)
+    if central is not None:
+        return central
+    p = nu.period
 
     def letter_past(depth):  # at position p of the first neighbour deeper
         return next(w[p - 1] for w in chain if len(w) >= depth)
@@ -263,7 +263,7 @@ def build_critical_path(nu: KneadingSequence, n: int) -> CriticalPath:
 class AlphaWitness:
     alpha: EPSeq
     kind: str  # "gap-central" | "rho-chain"
-    chain: Tuple[AnySeq, ...] = ()
+    chain: Tuple[EPSeq, ...] = ()
 
 
 def alpha_point(nu: KneadingSequence, chain_length: int = 12) -> AlphaWitness:
@@ -275,8 +275,8 @@ def alpha_point(nu: KneadingSequence, chain_length: int = 12) -> AlphaWitness:
     """
     _require_nontrivial(nu)
     alpha = EPSeq((), (1,), nu.degree)
-    letters = nu.seq.per if nu.exact else nu.seq.word
-    if nu.exact and not nu.seq.pre and all(x is STAR or x == 1 for x in letters):
+    s = nu.seq
+    if nu.exact and not s.pre and all(x is STAR or x == 1 for x in s.per):
         return AlphaWitness(alpha, "gap-central")
 
     words = _Words(nu)

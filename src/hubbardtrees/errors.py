@@ -50,10 +50,6 @@ class VertexNotFound(HubbardTreeError, KeyError):
     """The requested point is not a vertex of the tree."""
 
 
-class NotAGap(HubbardTreeError, ValueError):
-    """The given pair of path points does not bound a gap."""
-
-
 class NonIncreasingAddress(HubbardTreeError, ValueError):
     """Internal addresses must be strictly increasing and start at 1."""
 

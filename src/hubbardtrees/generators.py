@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .analysis import address_chain, kneading_from_address
 from .errors import SequenceParseError
-from .symbolic import KneadingSequence, PrefixSequence, validate_kneading
+from .symbolic import EPSeq, KneadingSequence, validate_kneading
 
 
 def staircase(depth: int) -> KneadingSequence:
@@ -18,7 +18,7 @@ def staircase(depth: int) -> KneadingSequence:
     while len(word) < depth:
         word.extend([1] + [0] * (block - 1))
         block += 1
-    return validate_kneading(PrefixSequence(tuple(word[:depth]), 2))
+    return validate_kneading(EPSeq(word[:depth], None, 2))
 
 
 def feigenbaum(depth: int) -> KneadingSequence:
@@ -31,7 +31,7 @@ def feigenbaum(depth: int) -> KneadingSequence:
         entries.append(entries[-1] * 2)
     word = address_chain(entries)[-1]
     full = tuple(word[i % len(word)] for i in range(depth))
-    return validate_kneading(PrefixSequence(full, 2))
+    return validate_kneading(EPSeq(full, None, 2))
 
 
 def make(name: str, *, depth: int = 16, params: str = "") -> KneadingSequence:

@@ -5,8 +5,8 @@ is infinite) plus the wildcard ``*`` are the currency for everything in
 this package: kneading sequences, itineraries of tree points, precritical
 points ``w*nu``.  Eventually periodic sequences are represented exactly by
 a preperiod word and a primitive period word; anything else enters as a
-:class:`PrefixSequence` truncation, and answers derived from one are only
-valid to its declared depth.
+truncation of unknown period, and answers derived from one are only valid
+to its declared depth.
 
 Indexing is 1-based throughout: ``nu = nu_1 nu_2 ...``.
 """
@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import chain, cycle
 from typing import Iterable, Optional, Tuple, Union
 
 from .errors import (
@@ -50,10 +51,6 @@ STAR = _Star()
 
 Symbol = Union[int, _Star]
 Word = Tuple[Symbol, ...]
-
-
-def is_star(sym: Symbol) -> bool:
-    return sym is STAR
 
 
 def _sym_key(sym: Symbol):
@@ -94,30 +91,41 @@ def _canonical(pre: Word, per: Word) -> Tuple[Word, Word]:
 
 
 class EPSeq:
-    """An eventually periodic infinite symbol sequence in canonical form.
+    """An infinite symbol sequence: exact and eventually periodic, or a
+    truncation known only to its first letters.
 
-    Two instances describe the same infinite sequence iff they compare
-    equal; the constructor canonicalizes, so equality is structural.
-    Instances are immutable and interned per (preperiod, period, degree).
+    ``EPSeq(pre, per, degree)`` is the sequence ``pre per per ...`` in
+    canonical form, so two exact instances describe the same sequence iff
+    they compare equal.  ``EPSeq(word, None, degree)`` is a truncation of
+    unknown period: its trusted letters are ``pre``, kept as given, and
+    every answer derived from it is valid to ``len(pre)`` only.  Derived
+    truncated points (for example ``w*nu`` over a truncated ``nu``) may
+    carry wildcards even though user input never does.  A truncation and
+    the exact sequence with the same letters are different values.
+
+    Instances are immutable and interned per (pre, per, degree), so
+    identity is equality.
     """
 
     __slots__ = ("pre", "per", "degree", "head", "_hash", "_tail")
     _intern: dict = {}
 
-    def __new__(cls, pre: Iterable[Symbol] = (), per: Iterable[Symbol] = (),
-                degree=2):
-        pre, per = _canonical(tuple(pre), tuple(per))
+    def __new__(cls, pre: Iterable[Symbol] = (),
+                per: Optional[Iterable[Symbol]] = (), degree=2):
+        pre = tuple(pre)
+        if per is not None:
+            pre, per = _canonical(pre, tuple(per))
         key = (pre, per, degree)
         hit = cls._intern.get(key)
         if hit is not None:
             return hit
         _check_letters(pre, degree)
-        _check_letters(per, degree)
+        _check_letters(per or (), degree)
         obj = super().__new__(cls)
         obj.pre = pre
         obj.per = per
         obj.degree = degree
-        obj.head = pre[0] if pre else per[0]
+        obj.head = pre[0] if pre else per[0] if per else None
         obj._hash = hash(key)
         obj._tail = None
         # atomic: threads racing on one key all get the first object stored
@@ -145,7 +153,10 @@ class EPSeq:
 
     # -- structure ---------------------------------------------------------
 
-    exact = True
+    @property
+    def exact(self) -> bool:
+        """False for a truncation."""
+        return self.per is not None
 
     @property
     def pure_periodic(self) -> bool:
@@ -155,20 +166,22 @@ class EPSeq:
     def period_length(self) -> int:
         return len(self.per)
 
-    def at(self, i: int) -> Symbol:
-        """The i-th symbol, 1-based."""
+    def at(self, i: int) -> Optional[Symbol]:
+        """The i-th symbol, 1-based; None past a truncation's letters."""
         if i < 1:
             raise IndexError("sequence positions are 1-based")
         i -= 1
         if i < len(self.pre):
             return self.pre[i]
+        if self.per is None:
+            return None
         return self.per[(i - len(self.pre)) % len(self.per)]
 
     def tail(self) -> "EPSeq":
         """The left shift by one, cached."""
         t = self._tail
         if t is None:
-            if self.pre:
+            if self.pre or self.per is None:
                 t = EPSeq(self.pre[1:], self.per, self.degree)
             else:
                 t = EPSeq((), self.per[1:] + self.per[:1], self.degree)
@@ -179,22 +192,22 @@ class EPSeq:
         if k < 0:
             raise ValueError("shift distance must be nonnegative")
         # normalize: beyond the preperiod the shift is periodic
-        m, p = len(self.pre), len(self.per)
-        if k > m:
-            k = m + (k - m) % p
+        m = len(self.pre)
+        if self.per is not None and k > m:
+            k = m + (k - m) % len(self.per)
         s = self
         for _ in range(k):
             s = s.tail()
         return s
 
     def contains_star(self) -> bool:
-        return any(x is STAR for x in self.pre) or any(x is STAR for x in self.per)
+        return any(x is STAR for x in self.pre + (self.per or ()))
 
     def star_depth(self) -> Optional[int]:
         """Position of the first wildcard (the depth of a precritical
         point), or None for wildcard-free sequences."""
-        for i in range(1, len(self.pre) + len(self.per) + 1):
-            if self.at(i) is STAR:
+        for i, x in enumerate(self.pre + (self.per or ()), 1):
+            if x is STAR:
                 return i
         return None
 
@@ -209,89 +222,7 @@ class EPSeq:
         return out
 
 
-class PrefixSequence:
-    """A finite trustworthy prefix of an infinite sequence.
-
-    The vehicle for kneading sequences that are not eventually periodic.
-    Derived truncated points (for example ``w*nu`` over a prefix ``nu``)
-    reuse this class, so the word may contain wildcards even though user
-    input never does.  Every downstream answer is valid to ``depth`` only.
-    Instances are immutable and interned per (word, degree), as EPSeq
-    instances are, so identity is equality for both kinds of sequence.
-    """
-
-    __slots__ = ("word", "degree", "head", "_hash", "_tail")
-    _intern: dict = {}
-
-    def __new__(cls, word: Iterable[Symbol], degree=2):
-        word = tuple(word)
-        key = (word, degree)
-        hit = cls._intern.get(key)
-        if hit is not None:
-            return hit
-        _check_letters(word, degree)
-        obj = super().__new__(cls)
-        obj.word = word
-        obj.degree = degree
-        obj.head = word[0] if word else None
-        obj._hash = hash((word, degree, "prefix"))
-        obj._tail = None
-        return cls._intern.setdefault(key, obj)
-
-    exact = False
-
-    @property
-    def depth(self) -> int:
-        return len(self.word)
-
-    def at(self, i: int) -> Optional[Symbol]:
-        """The i-th symbol (1-based), or None beyond the declared depth."""
-        if i < 1:
-            raise IndexError("sequence positions are 1-based")
-        return self.word[i - 1] if i <= len(self.word) else None
-
-    def tail(self) -> "PrefixSequence":
-        """The left shift by one, cached."""
-        t = self._tail
-        if t is None:
-            t = self._tail = PrefixSequence(self.word[1:], self.degree)
-        return t
-
-    def shift(self, k: int) -> "PrefixSequence":
-        if k < 0:
-            raise ValueError("shift distance must be nonnegative")
-        return PrefixSequence(self.word[k:], self.degree)
-
-    def contains_star(self) -> bool:
-        return any(x is STAR for x in self.word)
-
-    def star_depth(self) -> Optional[int]:
-        for i, x in enumerate(self.word):
-            if x is STAR:
-                return i + 1
-        return None
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, PrefixSequence):
-            return NotImplemented
-        return self.word == other.word and self.degree == other.degree
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return (PrefixSequence, (self.word, self.degree))
-
-    def __repr__(self):
-        return f"PrefixSequence({format_sequence(self)!r}, degree={self.degree})"
-
-
-AnySeq = Union[EPSeq, PrefixSequence]
-
-
-def seq_cmp(a: AnySeq, b: AnySeq) -> int:
+def seq_cmp(a: EPSeq, b: EPSeq) -> int:
     """Total order: lexicographic on the expansion, letters by value,
     wildcard last; used only for deterministic tie-breaking."""
     if a is b:
@@ -299,8 +230,8 @@ def seq_cmp(a: AnySeq, b: AnySeq) -> int:
     if a.exact and b.exact:
         bound = max(len(a.pre), len(b.pre)) + math.lcm(len(a.per), len(b.per))
     else:
-        wa = len(a.per) + len(a.pre) if a.exact else len(a.word)
-        wb = len(b.per) + len(b.pre) if b.exact else len(b.word)
+        wa = len(a.pre) + len(a.per or ())
+        wb = len(b.pre) + len(b.per or ())
         bound = max(wa, wb) * 2 + 2
     for i in range(1, bound + 1):
         x, y = a.at(i), b.at(i)
@@ -318,20 +249,7 @@ def seq_cmp(a: AnySeq, b: AnySeq) -> int:
 # module-level operations
 
 
-@lru_cache(maxsize=1 << 18)
-def _diff_exact(a: EPSeq, b: EPSeq):
-    bound = max(len(a.pre), len(b.pre)) + math.lcm(len(a.per), len(b.per))
-    apre, aper, la, pa = a.pre, a.per, len(a.pre), len(a.per)
-    bpre, bper, lb, pb = b.pre, b.per, len(b.pre), len(b.per)
-    for i in range(bound):
-        x = apre[i] if i < la else aper[(i - la) % pa]
-        y = bpre[i] if i < lb else bper[(i - lb) % pb]
-        if x is not y and x != y and x is not STAR and y is not STAR:
-            return i + 1
-    return INF
-
-
-def diff(a: AnySeq, b: AnySeq):
+def diff(a: EPSeq, b: EPSeq):
     """Position of the first index where both symbols are letters and
     differ; the wildcard matches everything.  INF when no such index.
 
@@ -341,25 +259,24 @@ def diff(a: AnySeq, b: AnySeq):
     the shared trustworthy window"; use :func:`diff_within` to get the
     window size.
     """
-    if a.degree != b.degree:
-        raise WrongDegree("diff requires sequences over the same alphabet")
-    if a.exact and b.exact:
-        return _diff_exact(a, b)
     return diff_within(a, b)[0]
 
 
-def diff_within(a: AnySeq, b: AnySeq):
+def diff_within(a: EPSeq, b: EPSeq):
     """``(value, window)``: the first-difference position if it occurs
     within the trustworthy window, else (INF, window); window is INF when
     both inputs are exact."""
+    if a.degree != b.degree:
+        raise WrongDegree("diff requires sequences over the same alphabet")
     if a.exact and b.exact:
-        return _diff_exact(a, b), INF
-    wa = INF if a.exact else len(a.word)
-    wb = INF if b.exact else len(b.word)
-    window = min(wa, wb)
-    for i in range(1, int(window) + 1):
-        x, y = a.at(i), b.at(i)
-        if x is not STAR and y is not STAR and x != y:
+        window = INF
+        bound = max(len(a.pre), len(b.pre)) + math.lcm(len(a.per), len(b.per))
+    else:
+        window = bound = min(len(s.pre) for s in (a, b) if not s.exact)
+    xs, ys = (s.pre if s.per is None else chain(s.pre, cycle(s.per))
+              for s in (a, b))
+    for i, x, y in zip(range(1, bound + 1), xs, ys):
+        if x is not y and x != y and x is not STAR and y is not STAR:
             return i, window
     return INF, window
 
@@ -372,11 +289,11 @@ def diff_within(a: AnySeq, b: AnySeq):
 class KneadingSequence:
     """A validated abstract kneading sequence.
 
-    ``seq`` is either an exact EPSeq or a PrefixSequence truncation;
+    ``seq`` is an exact EPSeq or a truncation;
     ``period`` is set exactly when the sequence is star-periodic.
     """
 
-    seq: AnySeq
+    seq: EPSeq
     star_periodic: bool
     period: Optional[int] = None
     trivial: bool = False
@@ -392,23 +309,20 @@ class KneadingSequence:
     def __str__(self):
         return format_sequence(self.seq)
 
-    def critical_point(self) -> AnySeq:
+    def critical_point(self) -> EPSeq:
         """The sequence ``*nu``."""
         return self._crit
 
     @cached_property
-    def _crit(self) -> AnySeq:
+    def _crit(self) -> EPSeq:
         # built once per instance: every tripod meet asks for it
         return precritical((), self)
-
-    def critical_value(self) -> AnySeq:
-        return self.seq
 
 
 TRIVIAL_WORD = (STAR,)
 
 
-def validate_kneading(s: AnySeq) -> KneadingSequence:
+def validate_kneading(s: EPSeq) -> KneadingSequence:
     """Accept a sequence iff it is an abstract kneading sequence.
 
     Either a wildcard-free sequence that is not purely periodic, or a
@@ -419,7 +333,7 @@ def validate_kneading(s: AnySeq) -> KneadingSequence:
     if not s.exact:
         if s.contains_star():
             raise StarMisplaced("truncated kneading prefixes must be wildcard-free")
-        if not s.word:
+        if not s.pre:
             raise SequenceParseError("empty prefix")
         if s.head != 1:
             raise BadLeadingSymbol(f"kneading sequences start with 1, got {s.head!r}")
@@ -456,15 +370,13 @@ def kneading(text: str, degree=2) -> KneadingSequence:
     return validate_kneading(parse_sequence(text, degree))
 
 
-def precritical(w: Iterable[Symbol], nu: KneadingSequence) -> AnySeq:
+def precritical(w: Iterable[Symbol], nu: KneadingSequence) -> EPSeq:
     """The precritical point ``w * nu`` (depth ``len(w) + 1``)."""
     w = tuple(w)
     if STAR in w:
         raise SequenceParseError("precritical words contain no wildcard")
     s = nu.seq
-    if s.exact:
-        return EPSeq(w + (STAR,) + s.pre, s.per, s.degree)
-    return PrefixSequence(w + (STAR,) + s.word, s.degree)
+    return EPSeq(w + (STAR,) + s.pre, s.per, s.degree)
 
 
 @dataclass(frozen=True)
@@ -629,7 +541,7 @@ def _parse_items(txt: str) -> Word:
     return tuple(out)
 
 
-def parse_prefix(text: str, degree=2) -> PrefixSequence:
+def parse_prefix(text: str, degree=2) -> EPSeq:
     """Parse a bare word (digits, or a bracketed comma list) as a prefix."""
     text = text.strip()
     if text.startswith("["):
@@ -642,18 +554,18 @@ def parse_prefix(text: str, degree=2) -> PrefixSequence:
         word = tuple(int(ch) for ch in text)
     if any(x is STAR for x in word):
         raise SequenceParseError("prefix words contain no wildcard")
-    return PrefixSequence(word, degree)
+    return EPSeq(word, None, degree)
 
 
 def _fmt_sym(sym: Symbol) -> str:
     return "*" if sym is STAR else str(sym)
 
 
-def format_sequence(s: AnySeq) -> str:
+def format_sequence(s: EPSeq) -> str:
     if not s.exact:
-        if all(isinstance(x, int) and 0 <= x <= 9 for x in s.word):
-            return "".join(_fmt_sym(x) for x in s.word)
-        return "[" + ",".join(_fmt_sym(x) for x in s.word) + "]"
+        if all(isinstance(x, int) and 0 <= x <= 9 for x in s.pre):
+            return "".join(_fmt_sym(x) for x in s.pre)
+        return "[" + ",".join(_fmt_sym(x) for x in s.pre) + "]"
     compact = s.degree is not INF and s.degree <= 10 and all(
         x is STAR or 0 <= x <= 9 for x in s.pre + s.per
     )

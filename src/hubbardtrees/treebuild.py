@@ -32,9 +32,7 @@ from .symbolic import (
     EPSeq,
     INF,
     KneadingSequence,
-    PrefixSequence,
     STAR,
-    AnySeq,
     diff,
     precritical,
     seq_cmp,
@@ -45,15 +43,11 @@ from .symbolic import (
 # tripod meet
 
 
-def _prepend(word, s: AnySeq) -> AnySeq:
-    if not word:
-        return s
-    if s.exact:
-        return EPSeq(tuple(word) + s.pre, s.per, s.degree)
-    return PrefixSequence(tuple(word) + s.word, s.degree)
+def _prepend(word, s: EPSeq) -> EPSeq:
+    return EPSeq(tuple(word) + s.pre, s.per, s.degree) if word else s
 
 
-def meet(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq:
+def meet(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> EPSeq:
     """The branch point of the tripod spanned by three points of H(nu).
 
     Walks the three itineraries in lockstep, emitting the common letter
@@ -77,10 +71,10 @@ def meet(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq:
     its budget, gives the prefix emitted so far; two distinct points both
     reading the wildcard give that point (the tripod is degenerate).
     """
-    # Both kinds of sequence are interned, so identity is equality.  Every
-    # slot is an input, the critical point or the cached tail of an earlier
-    # slot, so all stay alive during the walk and id() names a point
-    # throughout.
+    # Sequences are interned, exact and truncated alike, so identity is
+    # equality.  Every slot is an input, the critical point or the cached
+    # tail of an earlier slot, so all stay alive during the walk and id()
+    # names a point throughout.
     nu_seq = nu.seq
     degree = a.degree
     exact = a.exact and b.exact and c.exact and nu_seq.exact
@@ -111,11 +105,11 @@ def meet(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq:
                 raise MeetInconsistency(
                     f"tripod recursion failed to settle within {budget} steps"
                 )
-            return PrefixSequence(w, degree)
+            return EPSeq(w, None, degree)
 
         ha, hb, hc = a.head, b.head, c.head
         if ha is None or hb is None or hc is None:
-            return PrefixSequence(w, degree)  # out of trusted symbols
+            return EPSeq(w, None, degree)  # out of trusted symbols
         if ha is star or hb is star or hc is star:
             # A replacement puts *nu, which reads the wildcard next, into
             # a slot.  So a cycle of states without a wildcard step makes
@@ -161,23 +155,26 @@ def meet(a: AnySeq, b: AnySeq, c: AnySeq, nu: KneadingSequence) -> AnySeq:
         c = c._tail or c.tail()
 
 
-def _known(s: AnySeq) -> int:
-    return len(s.word) if not s.exact else len(s.pre) + len(s.per)
+def _known(s: EPSeq) -> int:
+    return len(s.pre) + len(s.per or ())
 
 
-def same_point(x: AnySeq, y: AnySeq) -> bool:
-    """Identity for tree points.  Exact sequences compare structurally;
-    a truncated word is identified with a point whose itinerary extends
-    it, or is extended by it (the best a truncation can certify)."""
+def same_point(x: EPSeq, y: EPSeq) -> bool:
+    """Identity for tree points.  Exact sequences are interned, so they
+    are one point iff they are one object; a truncated word is identified
+    with a point whose itinerary extends it, or is extended by it (the
+    best a truncation can certify)."""
+    if x is y:
+        return True
     if x.exact:
         if y.exact:
-            return x == y
+            return False  # interned: distinct exact points differ
         x, y = y, x
     if y.exact:
         # the wildcard is a singleton equal only to itself
-        return all(y.at(i) == s for i, s in enumerate(x.word, 1))
-    n = min(len(x.word), len(y.word))
-    return x.word[:n] == y.word[:n]
+        return all(y.at(i) == s for i, s in enumerate(x.pre, 1))
+    n = min(len(x.pre), len(y.pre))
+    return x.pre[:n] == y.pre[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +194,11 @@ class HubbardTree:
         self.kneading = kneading
         self.nu = kneading.seq
         self.crit = kneading.critical_point()
-        self.adj: Dict[AnySeq, List[AnySeq]] = {
+        self.adj: Dict[EPSeq, List[EPSeq]] = {
             self.nu: [self.crit],
             self.crit: [self.nu],
         }
-        self.postcritical: Dict[AnySeq, int] = {self.nu: 0}
+        self.postcritical: Dict[EPSeq, int] = {self.nu: 0}
         if kneading.star_periodic:
             self.postcritical[self.crit] = kneading.period - 1
         self.mode: Tuple[str, Optional[int]] = ("finite", None)
@@ -218,19 +215,19 @@ class HubbardTree:
     def finite(self) -> bool:
         return self.mode[0] == "finite"
 
-    def vertices(self) -> List[AnySeq]:
+    def vertices(self) -> List[EPSeq]:
         return list(self.adj)
 
-    def neighbors(self, v: AnySeq) -> List[AnySeq]:
+    def neighbors(self, v: EPSeq) -> List[EPSeq]:
         try:
             return self.adj[v]
         except KeyError:
             raise VertexNotFound(repr(v)) from None
 
-    def degree_of(self, v: AnySeq) -> int:
+    def degree_of(self, v: EPSeq) -> int:
         return len(self.neighbors(v))
 
-    def edges(self) -> List[Tuple[AnySeq, AnySeq]]:
+    def edges(self) -> List[Tuple[EPSeq, EPSeq]]:
         out = []
         done = set()
         for u in self.adj:
@@ -240,13 +237,13 @@ class HubbardTree:
                     out.append((u, v))
         return out
 
-    def endpoints(self) -> List[AnySeq]:
+    def endpoints(self) -> List[EPSeq]:
         return [v for v in self.adj if len(self.adj[v]) == 1]
 
-    def branch_vertices(self) -> List[AnySeq]:
+    def branch_vertices(self) -> List[EPSeq]:
         return [v for v in self.adj if len(self.adj[v]) >= 3]
 
-    def is_fatou_edge(self, u: AnySeq, v: AnySeq) -> bool:
+    def is_fatou_edge(self, u: EPSeq, v: EPSeq) -> bool:
         return u.exact and v.exact and diff(u, v) is INF
 
     def copy(self) -> "HubbardTree":
@@ -262,7 +259,7 @@ class HubbardTree:
 
     # -- paths ---------------------------------------------------------------
 
-    def path_between(self, a: AnySeq, b: AnySeq) -> List[AnySeq]:
+    def path_between(self, a: EPSeq, b: EPSeq) -> List[EPSeq]:
         """The unique vertex path from a to b."""
         if a not in self.adj:
             raise VertexNotFound(repr(a))
@@ -289,12 +286,12 @@ class HubbardTree:
 
     # -- construction --------------------------------------------------------
 
-    def _subdivide(self, u: AnySeq, v: AnySeq, m: AnySeq) -> None:
+    def _subdivide(self, u: EPSeq, v: EPSeq, m: EPSeq) -> None:
         self.adj[u][self.adj[u].index(v)] = m
         self.adj[v][self.adj[v].index(u)] = m
         self.adj[m] = [u, v]
 
-    def _walk(self, p: AnySeq):
+    def _walk(self, p: EPSeq):
         """Locate the attachment of p: ('existing', v) if p is a vertex,
         ('interior', (u, v)) if p subdivides edge (u, v),
         ('branch', (u, v, m)) if p hangs off a new vertex m interior to
@@ -329,7 +326,7 @@ class HubbardTree:
                 return ("at", cur)
         raise MeetInconsistency("insertion walk failed to terminate")
 
-    def insert_point(self, p: AnySeq, postcritical: Optional[int] = None):
+    def insert_point(self, p: EPSeq, postcritical: Optional[int] = None):
         """Attach p to the tree; idempotent.  Returns (vertex, how) where
         how is 'existing', 'interior', or 'pendant'."""
         kind, data = self._walk(p)
@@ -361,7 +358,7 @@ class HubbardTree:
                "branch": "pendant", "at": "pendant"}[kind]
         return v, how
 
-    def locate(self, p: AnySeq) -> str:
+    def locate(self, p: EPSeq) -> str:
         """'vertex', 'interior', or 'off' without mutating the tree."""
         kind, _ = self._walk(p)
         return {"existing": "vertex", "interior": "interior",
@@ -369,7 +366,7 @@ class HubbardTree:
 
     # -- vertex kinds ----------------------------------------------------------
 
-    def kind_of(self, v: AnySeq) -> str:
+    def kind_of(self, v: EPSeq) -> str:
         if v == self.nu:
             return "critical-value"
         if v == self.crit:
@@ -383,12 +380,12 @@ class HubbardTree:
         return "plain"
 
 
-def vertex_order(tree: HubbardTree) -> Dict[AnySeq, int]:
+def vertex_order(tree: HubbardTree) -> Dict[EPSeq, int]:
     """Deterministic ids: breadth-first from the critical value, neighbour
     expansion in lexicographic itinerary order (letters by value, wildcard
     last)."""
     key = functools.cmp_to_key(seq_cmp)
-    order: Dict[AnySeq, int] = {}
+    order: Dict[EPSeq, int] = {}
     queue = [tree.nu]
     order[tree.nu] = 0
     while queue:
@@ -452,7 +449,7 @@ def build_tree(kneading: KneadingSequence, n: Optional[int] = None, *,
         return tree
 
     # prefix input: insert orbit points while enough symbols remain
-    cap = max(0, min(n if n is not None else max_points, seq.depth // 2))
+    cap = max(0, min(n if n is not None else max_points, len(seq.pre) // 2))
     for k in range(1, cap + 1):
         tree.insert_point(seq.shift(k), postcritical=k)
     tree.mode = ("truncated", cap)
@@ -469,7 +466,7 @@ class MarkovData:
     counts how often the image of edge i covers edge j."""
 
     tree: HubbardTree
-    edge_list: List[Tuple[AnySeq, AnySeq]]
+    edge_list: List[Tuple[EPSeq, EPSeq]]
     rows: List[List[int]]
 
     @property

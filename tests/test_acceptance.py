@@ -316,7 +316,7 @@ def _reaches_alpha_orbit(v, budget):
             if s == ALPHA:
                 return True
         else:
-            if s.word and all(x == 1 for x in s.word):
+            if s.pre and all(x == 1 for x in s.pre):
                 return True
         s = s.tail()
     return False

@@ -91,6 +91,82 @@ def test_path_point_budget_exits_3(monkeypatch, capsys):
     assert err == "error: depth budget exhausted: P_5 of (10*) exceeds 9 points\n"
 
 
+# SHA-256 of the `tree`, `tree --format json`, `classify` and `path` output of
+# truncated input, as printed while truncations were a class of their own
+TRUNCATED_COMMANDS = (("tree",), ("tree", "--format", "json"), ("classify",),
+                      ("path",))
+TRUNCATED_GOLDEN = {
+    ("--prefix", "--nu", "1011011100"): (
+        "ac90afcc4cba17f7c676dc7adfad58a189d94eaf2286e8112515fbed3b247195",
+        "c0334a052d3f82d4ee9af1c633e2507f5485d2eacb632cdfcd4d0cdd4c883cb5",
+        "aabe6707db5605c93d94e9aeedb425d91db0986dc0500f2f73caeeb58afdfefd",
+        "763262741904eabd34fe163270669e1901afd6986c78fe9a801ba1f70f157d7d"),
+    ("--prefix", "--nu", "1100011111"): (
+        "33512b73f2511dfb760cdde445136c34e75303482c4a2a4e00a6701f910c8047",
+        "98a9511c00847508c45eaea3e7cfbd2e7e9627810eb33c00afaf811473fa9b72",
+        "55e1128507aa955e47a52e9a74a1988e0abd2dc2a8be00d48809da080159739c",
+        "60d7b8f8f03bd531e035d2a527d238ddc8c298bef51c5194c75fafa1f551341b"),
+    ("--prefix", "--nu", "1001011000"): (
+        "97f5731f85a5e920aca621639c8fc2a308ae811ee72c0f8c18810240e15c011e",
+        "23307d4eb0d1adcede0be3cc642e8f24c446f01b99b4fcc2859a322c16ca6095",
+        "14e9ddb1271a66ebb9d7608ba5e94d5180771a63e72e1dc507c8a9f13f8e266f",
+        "a545c920af5eae2fd846648482153491554cdb7674b7831e8f631f004cd39b24"),
+    ("--prefix", "--nu", "110100100010000100000"): (
+        "75c8e68571d4918ae7c90204066e92b73fc2579f1e9c6c465f9dac6900d354bf",
+        "18fe6a5233fe30ea295c623cc21c7c297cc80d94506b6512c7e887aac2fbc385",
+        "4889b81bbe165082c6a2cf3c08cd988fe8e6d4de3f1ff8402ef09de6cb2442cd",
+        "9806e34db2ecae22ad61fc01b05b8c5e3553c9af441347f71167f4434b0705ee"),
+    ("--degree", "3", "--prefix", "--nu", "1201120"): (
+        "284f3c9342d1d8ffe1dd457a2b5e6862e9189116de3535bcb6d658a508c30635",
+        "4f55548a1ef6b6bb662ea9afa6996d88dfbded18499b5afbaaebcf789899813a",
+        "ebaa2efd2a3d65663c26723219b2647c18127b097ba2afb5d65d1dfc7e89ff42",
+        "79c7165abeb95e2e7f7ea7061cca902025ed62420b04410833f1a48a5cd8785f"),
+    ("--degree", "inf", "--normalize", "--prefix", "--nu", "[1,5,-2,1,5,3,1,5]"): (
+        "c3546f429b8e50fad173a7c86b4ae5f038ae4713cd383138083b2eff52948afa",
+        "ebdd159493b71efcddb1137b02f7c50d6d296bcf7c4f1e1beca72e788e939c55",
+        "541e93914c74af30793012747e76f450102bb90f211592d1b84b274875e3e2f5",
+        "66bd61ad613c30cb245fab88d209f5304f0b9288e2bbad6824d0ad9a40c8a2a7"),
+    ("--gen", "staircase", "--depth", "8"): (
+        "d5951049eb9bc4b06fd00931dc99b3ef4066130369de2dad50385587bafaf60d",
+        "e2fcaa253871b75ea1454402ff1a88a8c02a0c39fd9cb19e180a2bba3f71d966",
+        "509f5c1a0b671c68731c8f3626fcacb5ce7dc6c79af8bbf2f8dae342a4588aff",
+        "683125cf8db3dea0a58033921d18745e4fac1fc3235b56eae149440a623df160"),
+    ("--gen", "staircase", "--depth", "11"): (
+        "8a7cd9c71279837d3bad731a375fd8b3e9940434f54820be757aaee897c7871f",
+        "1d884beeb5519255e024572df770206cdc31462e40d2c59ca6ee1b2578b69bf0",
+        "584e10a7d3f1e83975ca806b114909c17a0134e41fd39763e6aa9ffe06817df3",
+        "ccb050d7a62128669a719fe8ae9ecbe7f1a4f11010129b93860c975e5aeff363"),
+    ("--gen", "staircase", "--depth", "14"): (
+        "7bb320810d7b07b38fc31de6ef0e5d416f991ecdc9e5152e950fbf270ba5ec45",
+        "71a8e8bee6bade725480be2d23a8b5db82331c3a31b5300711a9fb82200cb314",
+        "ce4b52e4b30b7b56cd21980b17632007d8584bd8759dc6e1e6f63d1bba10ae4e",
+        "311563770a8b7fc3146ab61ba0a9d71a2420c90cce31451c3c92b69ad2fc6ab8"),
+    ("--gen", "feigenbaum", "--depth", "8"): (
+        "05192ed5afc6b477a3291ac128402064d46a031db9113fe832eab1327066e9d6",
+        "d1f57c71661e63d3d540a43a0894a31f67c84e343dfa7e249d7f88125b170675",
+        "5ac4ed2c379c157e4f8ccfee016e05b9c27869e89ca6194d72ad36b835210096",
+        "979281798ee86b793502dd69c00f718f829c3ead1babf751290df1593468b3e8"),
+    ("--gen", "feigenbaum", "--depth", "11"): (
+        "2fd2bc38967932cdc4e17aca32feda8be40777166b33d6ff782222b8c7d40676",
+        "eac334e2fa90e02ff8b9262ec0aec2946c45e00d6fd8b030f19f1c929ccba261",
+        "735007f126b945dfdd8469c7d00b288fbd895e52b1034c3e0d814e86fe84788c",
+        "63c031cc43590d7e9107a6eaca402d7a2d32986c8f3d4fa171966da2edbc2303"),
+    ("--gen", "feigenbaum", "--depth", "14"): (
+        "c105a8d43bff435aeea571948f6a809f63e6141dd05ed13556b0843e35ac3098",
+        "50a14ab2c3fb35a38a90837b84dc2bd360025784718f32aba13c4267c5265ad8",
+        "54a4f70b04b431e5ae68227da37fb7efca687107175886cd9e7e7532d0cdd749",
+        "3db03198cb8d416c34f1d6ae16d7a8fb4c3d4e3a203da6fd3cea9c7fb3f9d526"),
+}
+
+
+@pytest.mark.parametrize("args", list(TRUNCATED_GOLDEN))
+def test_truncated_output_is_byte_identical_to_golden(args, capsys):
+    for cmd, want in zip(TRUNCATED_COMMANDS, TRUNCATED_GOLDEN[args]):
+        assert main([*cmd, *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (cmd, args)
+
+
 # -- tree ----------------------------------------------------------------------------
 
 
@@ -153,6 +229,14 @@ def test_classify_airplane():
     assert doc["bifurcation"]["class"] == "none"
     assert doc["admissible"] is True
     assert any(o["kind"] == "primitive" for o in doc["orbits"])
+
+
+def test_classify_bifurcation_past_the_path_point_cap(capsys):
+    # P_p of this period-20 bifurcation passes MAX_PATH_POINTS; its class
+    # is read off the refinement at nu, which holds about 4p points
+    assert main(["classify", "--nu", "(1000000000100000000*)"]) == 0
+    out = capsys.readouterr().out
+    assert "bifurcation: standard from period 10 (base (100000000*))\n" in out
 
 
 # Output captured before orbit classification moved onto the tree the

@@ -11,7 +11,6 @@ from hubbardtrees.critpath import (
     alpha_point,
     build_critical_path,
     build_pn,
-    central_itinerary,
     lower_sequence,
     path_table,
 )
@@ -232,7 +231,7 @@ def test_basilica_p_infinity_is_p1():
         assert len(path.points) == 2
         assert len(path.gaps) == 1
     g = build_pn(kn, 2).gaps[0]
-    assert central_itinerary(g, kn) == EPSeq((), (1,))
+    assert g.central == EPSeq((), (1,))
 
 
 def test_period4_p2_and_gap():
@@ -293,6 +292,17 @@ def test_gaps_iff_standard_bifurcation_period_le_8():
     from hubbardtrees.analysis import classify_bifurcation
 
     for kn in star_periodic_sequences(8):
+        has_gap = bool(build_pn(kn, kn.period).gaps)
+        assert has_gap == (classify_bifurcation(kn).kind == "standard"), str(kn)
+
+
+@pytest.mark.parametrize("degree,pmax", [(3, 7), (4, 6)])
+def test_gaps_iff_standard_bifurcation_higher_degree(degree, pmax):
+    # classify_bifurcation reads the gap off the refinement at nu alone;
+    # P_p built in full is the oracle, also where no address criterion is
+    from hubbardtrees.analysis import classify_bifurcation
+
+    for kn in star_periodic_sequences(pmax, degree=degree):
         has_gap = bool(build_pn(kn, kn.period).gaps)
         assert has_gap == (classify_bifurcation(kn).kind == "standard"), str(kn)
 

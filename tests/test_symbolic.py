@@ -20,10 +20,10 @@ from hubbardtrees.errors import (
 from hubbardtrees.symbolic import (
     EPSeq,
     INF,
-    PrefixSequence,
     STAR,
     angle_to_kneading,
     diff,
+    diff_within,
     format_sequence,
     is_bifurcation,
     kneading,
@@ -119,8 +119,12 @@ def test_diff_first_position():
 
 
 def test_diff_degree_mismatch():
-    with pytest.raises(WrongDegree):
-        diff(parse_sequence("(10)", 2), parse_sequence("(10)", 3))
+    a, b = parse_sequence("(10)", 2), parse_sequence("(10)", 3)
+    for x, y in ((a, b), (a, parse_prefix("10", 3)), (parse_prefix("10", 2), b)):
+        with pytest.raises(WrongDegree):
+            diff(x, y)
+        with pytest.raises(WrongDegree):
+            diff_within(x, y)
 
 
 # -- kneading validation ---------------------------------------------------------
@@ -385,28 +389,42 @@ def test_format_parse_round_trip(s):
 
 def test_prefix_round_trip():
     p = parse_prefix("110100100", 2)
-    assert p.word == (1, 1, 0, 1, 0, 0, 1, 0, 0)
-    assert p.depth == 9
-    assert p.shift(2).word == (0, 1, 0, 0, 1, 0, 0)
+    assert p.pre == (1, 1, 0, 1, 0, 0, 1, 0, 0)
+    assert len(p.pre) == 9
+    assert p.shift(2).pre == (0, 1, 0, 0, 1, 0, 0)
+
+
+def test_a_truncation_is_its_own_value():
+    # EPSeq(word, None, d) keeps its letters as given and never equals an
+    # exact sequence; a missing period is an error, not a truncation
+    assert EPSeq((1, 1), None, 2).pre == (1, 1)
+    assert EPSeq((1, 1), (1,), 2).pre == ()
+    for text in ("(10)", "1(0)", "10(01)"):
+        exact = parse_sequence(text, 2)
+        trunc = EPSeq(exact.pre + exact.per, None, 2)
+        assert trunc is not exact and trunc != exact and exact != trunc
+        assert exact.exact and not trunc.exact
+    with pytest.raises(SequenceParseError):
+        EPSeq((1, 0))
 
 
 def test_prefix_sequences_are_interned():
-    p = PrefixSequence([1, 0, 1, 1], 2)
-    assert PrefixSequence((1, 0, 1, 1), 2) is p
-    assert p.tail() is p.tail() is PrefixSequence((0, 1, 1), 2)
-    assert p.shift(4) is PrefixSequence((), 2) is PrefixSequence((), 2).tail()
-    assert PrefixSequence((1, 0, 1, 1), 3) is not p
+    p = EPSeq([1, 0, 1, 1], None, 2)
+    assert EPSeq((1, 0, 1, 1), None, 2) is p
+    assert p.tail() is p.tail() is EPSeq((0, 1, 1), None, 2)
+    assert p.shift(4) is EPSeq((), None, 2) is EPSeq((), None, 2).tail()
+    assert EPSeq((1, 0, 1, 1), None, 3) is not p
 
 
 def test_copies_and_pickles_keep_interning():
     # a copy must not be rebuilt through an argument-free __new__, which
     # would hand back (and then overwrite) an interned value
-    for s in (PrefixSequence((1, 0, 1, 1), 2), PrefixSequence((), 3),
+    for s in (EPSeq((1, 0, 1, 1), None, 2), EPSeq((), None, 3),
               EPSeq((1,), (0, 1), 2), EPSeq((), (STAR, 2, 0), 3)):
         assert copy.copy(s) is s
         assert copy.deepcopy(s) is s
         assert pickle.loads(pickle.dumps(s)) is s
-    assert PrefixSequence((), 2).word == ()
+    assert EPSeq((), None, 2).pre == ()
 
 
 def test_interning_is_atomic_under_threads():

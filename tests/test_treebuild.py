@@ -16,7 +16,6 @@ from hubbardtrees.generators import make, staircase
 from hubbardtrees.symbolic import (
     EPSeq,
     INF,
-    PrefixSequence,
     STAR,
     angle_to_kneading,
     diff,
@@ -224,7 +223,7 @@ def _reference_meet_trunc(a, b, c, nu):
     while True:
         steps += 1
         if steps > budget:
-            return PrefixSequence(tuple(w), a.degree)
+            return EPSeq(tuple(w), None, a.degree)
 
         if a == b or a == c:
             return _prepend(w, a)
@@ -239,7 +238,7 @@ def _reference_meet_trunc(a, b, c, nu):
 
         ha, hb, hc = a.head, b.head, c.head
         if ha is None or hb is None or hc is None:
-            return PrefixSequence(tuple(w), a.degree)  # out of trusted symbols
+            return EPSeq(tuple(w), None, a.degree)  # out of trusted symbols
 
         stars = (ha is STAR) + (hb is STAR) + (hc is STAR)
         if stars >= 2:
@@ -291,8 +290,8 @@ def test_meet_on_truncated_trees_matches_reference_walk():
             # where the reference ran out of budget, the recorded states
             # catch the recurrence and give the periodic point it truncates
             assert got.exact and not ref.exact, (str(kn), fs(a), fs(b), fs(c))
-            n = len(ref.word)
-            assert tuple(got.at(i) for i in range(1, n + 1)) == ref.word
+            n = len(ref.pre)
+            assert tuple(got.at(i) for i in range(1, n + 1)) == ref.pre
             extended += 1
     assert equal > 60000
     assert extended > 300
@@ -301,13 +300,13 @@ def test_meet_on_truncated_trees_matches_reference_walk():
 def test_meet_truncated_exits():
     kn = validate_kneading(parse_prefix("1011011100"))
     crit, nu = kn.critical_point(), kn.seq
-    short_crit = PrefixSequence((STAR, 1, 0, 1), 2)
+    short_crit = EPSeq((STAR, 1, 0, 1), None, 2)
     # two truncations of the critical point: a degenerate tripod
     assert meet(crit, short_crit, nu, kn) is crit
     assert meet(short_crit, nu, crit, kn) is short_crit
     # a point out of symbols: the prefix emitted so far
-    assert meet(nu, PrefixSequence((1,), 2), crit, kn) is PrefixSequence((1,), 2)
-    for args in ((crit, short_crit, nu), (nu, PrefixSequence((1,), 2), crit)):
+    assert meet(nu, EPSeq((1,), None, 2), crit, kn) is EPSeq((1,), None, 2)
+    for args in ((crit, short_crit, nu), (nu, EPSeq((1,), None, 2), crit)):
         assert meet(*args, kn) is _reference_meet_trunc(*args, kn)
 
 
@@ -323,11 +322,11 @@ def test_meet_does_not_depend_on_how_a_point_is_given():
 def test_same_point_identifies_a_truncation_with_its_extensions():
     p = parse_sequence("(110)")
     for word, same in (("11011", True), ("", True), ("11010", False)):
-        q = PrefixSequence([int(x) for x in word], 2)
+        q = EPSeq([int(x) for x in word], None, 2)
         assert same_point(p, q) is same_point(q, p) is same, word
     crit = EPSeq((STAR,), (1, 0), 2)
-    assert same_point(crit, PrefixSequence((STAR, 1, 0, 1), 2))
-    assert not same_point(crit, PrefixSequence((1, 1, 0, 1), 2))
+    assert same_point(crit, EPSeq((STAR, 1, 0, 1), None, 2))
+    assert not same_point(crit, EPSeq((1, 1, 0, 1), None, 2))
     assert not same_point(p, parse_sequence("(011)"))
 
 
@@ -335,7 +334,7 @@ def _one_point(x, y):
     """Whether x and y agree on every letter a truncation certifies."""
     if x.exact and y.exact:
         return x == y
-    n = min(len(s.word) for s in (x, y) if not s.exact)
+    n = min(len(s.pre) for s in (x, y) if not s.exact)
     return all(x.at(i) == y.at(i) for i in range(1, n + 1))
 
 
