@@ -76,10 +76,9 @@ def resolve_input(args) -> KneadingSequence:
     if getattr(args, "gen", None):
         name, _, params = args.gen.partition("=")
         kn = make_generated(name, depth=args.depth or 16, params=params)
-    elif args.nu is not None and getattr(args, "prefix", False):
-        kn = validate_kneading(parse_prefix(args.nu, degree))
     elif args.nu is not None:
-        seq = parse_sequence(args.nu, degree)
+        parse = parse_prefix if getattr(args, "prefix", False) else parse_sequence
+        seq = parse(args.nu, degree)
         if args.normalize:
             seq = _normalize_symbols(seq)
         kn = validate_kneading(seq)

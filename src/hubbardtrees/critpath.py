@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from .errors import (DepthBudgetExceeded, NotStarPeriodic,
@@ -38,13 +39,24 @@ class PathPoint:
     for limit points squeezed in without one.  ``word`` is the ``w`` of a
     point ``w*nu`` of depth ``len(w) + 1`` (empty for ``*nu``), and None
     with the depth for the other kinds.
+
+    A point ``w*nu`` keeps only its word and ``nu``, and becomes a
+    sequence only when its ``seq`` is read; every other point keeps its
+    sequence as ``itinerary``.
     """
 
-    seq: EPSeq
     kind: str
     label: Optional[Fraction]
     depth: Optional[int] = None
     word: Optional[Tuple] = None
+    nu: Optional[KneadingSequence] = field(default=None, repr=False)
+    itinerary: Optional[EPSeq] = None
+
+    @cached_property
+    def seq(self) -> EPSeq:
+        if self.word is None:
+            return self.itinerary
+        return precritical(self.word, self.nu)
 
 
 @dataclass(frozen=True)
@@ -161,12 +173,10 @@ def build_pn(nu: KneadingSequence, n: int) -> CriticalPath:
         points = nxt
 
     last = len(points) - 1
-    out = [PathPoint(nu.critical_point(), "critical-point", Fraction(0),
-                     depth=1, word=())]
+    out = [PathPoint("critical-point", Fraction(0), depth=1, word=(), nu=nu)]
     for w, num in points[1:last]:
-        out.append(PathPoint(precritical(w, nu), "precritical", Fraction(num, scale),
-                             depth=len(w) + 1, word=w))
-    out.append(PathPoint(nu.seq, "critical-value", Fraction(1)))
+        out.append(PathPoint("precritical", Fraction(num, scale), len(w) + 1, w, nu))
+    out.append(PathPoint("critical-value", Fraction(1), itinerary=nu.seq))
 
     # a no-difference answer certifies a gap only for exact sequences;
     # for truncated input it just means "unsplit within the window"
@@ -228,6 +238,19 @@ def lower_sequence(nu: KneadingSequence) -> EPSeq:
     return EPSeq((), word, nu.degree)
 
 
+def _seq_key(s: EPSeq):
+    """What a point is matched on without building it as a sequence: a
+    point with a wildcard is ``w*nu`` (nu too, when star-periodic) and is
+    named by w, its letters before the first wildcard; any other point is
+    named by itself."""
+    d = s.star_depth()
+    return s if d is None else tuple(map(s.at, range(1, d)))
+
+
+def _point_key(pt: PathPoint):
+    return pt.word if pt.word is not None else _seq_key(pt.seq)
+
+
 def build_critical_path(nu: KneadingSequence, n: int) -> CriticalPath:
     """P_n plus Fatou structure: two Fatou intervals around every gap's
     central itinerary, and for star-periodic nu the interval [omega, nu].
@@ -237,22 +260,26 @@ def build_critical_path(nu: KneadingSequence, n: int) -> CriticalPath:
     if not nu.star_periodic:
         return path
 
-    by_pair = {(g.left, g.right): g for g in path.gaps}
+    # a gap pair is adjacent, so its left side names it
+    by_left = {_seq_key(g.left): g for g in path.gaps}
     points = []
-    for cur, nxt in zip(path.points, path.points[1:] + [None]):
+    for cur, nxt in zip(path.points, path.points[1:]):
         points.append(cur)
-        if nxt is not None and (cur.seq, nxt.seq) in by_pair:
-            g = by_pair[(cur.seq, nxt.seq)]
+        g = by_left.get(_point_key(cur))
+        if g is not None:
             label = None
             if cur.label is not None and nxt.label is not None:
                 label = (cur.label + nxt.label) / 2
-            points.append(PathPoint(g.central, "central", label))
-            path.fatou.append(FatouInterval(cur.seq, g.central))
-            path.fatou.append(FatouInterval(g.central, nxt.seq))
+            points.append(PathPoint("central", label, itinerary=g.central))
+            path.fatou.append(FatouInterval(g.left, g.central))
+            path.fatou.append(FatouInterval(g.central, g.right))
+    points.append(path.points[-1])
 
+    # omega has no wildcard and every point w*nu carries one, so only the
+    # other points can be omega
     omega = lower_sequence(nu)
-    if all(pt.seq != omega for pt in points):
-        points.insert(len(points) - 1, PathPoint(omega, "limit", None))
+    if all(pt.word is not None or pt.seq != omega for pt in points):
+        points.insert(len(points) - 1, PathPoint("limit", None, itinerary=omega))
         path.fatou.append(FatouInterval(omega, nu.seq))
 
     path.points = points
@@ -303,22 +330,18 @@ def _fmt_label(label: Optional[Fraction]) -> str:
 def path_table(path: CriticalPath) -> str:
     """One row per point in path order: kind, depth, word w, dyadic label,
     gap/Fatou markers.  Column order fixed."""
-    fatou_ends = {}
-    for iv in path.fatou:
-        fatou_ends.setdefault(iv.a, []).append(iv.b)
-        fatou_ends.setdefault(iv.b, []).append(iv.a)
-    gap_sides = set()
-    for g in path.gaps:
-        gap_sides.update((g.left, g.right))
+    fatou_ends = {_seq_key(s) for iv in path.fatou for s in (iv.a, iv.b)}
+    gap_sides = {_seq_key(s) for g in path.gaps for s in (g.left, g.right)}
 
     rows = [("#", "kind", "depth", "word", "label", "markers")]
     for i, pt in enumerate(path.points, start=1):
+        key = _point_key(pt)
         markers = []
         if pt.kind == "central":
             markers.append("gap-central")
-        elif pt.seq in gap_sides:
+        elif key in gap_sides:
             markers.append("gap-boundary")
-        if pt.seq in fatou_ends:
+        if key in fatou_ends:
             markers.append("fatou")
         if pt.kind == "critical-value":
             word = "-"

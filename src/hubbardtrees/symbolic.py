@@ -121,6 +121,13 @@ class EPSeq:
             return hit
         _check_letters(pre, degree)
         _check_letters(per or (), degree)
+        return cls._store(key)
+
+    @classmethod
+    def _store(cls, key) -> "EPSeq":
+        """Intern a new instance for a key ``(pre, per, degree)`` whose
+        words are canonical and whose letters are checked."""
+        pre, per, degree = key
         obj = super().__new__(cls)
         obj.pre = pre
         obj.per = per
@@ -371,12 +378,27 @@ def kneading(text: str, degree=2) -> KneadingSequence:
 
 
 def precritical(w: Iterable[Symbol], nu: KneadingSequence) -> EPSeq:
-    """The precritical point ``w * nu`` (depth ``len(w) + 1``)."""
+    """The precritical point ``w * nu`` (depth ``len(w) + 1``).
+
+    Only w is checked.  nu's letters were checked, and its period made
+    primitive and canonical, when its sequence was built.  So if nu has
+    a preperiod, ``(w * pre, per)`` is canonical as it stands: pre ends
+    in another letter than per.  If not, the period only rotates while
+    the last letters of ``w *`` match its end, and a rotation of a
+    primitive period is primitive.
+    """
     w = tuple(w)
     if STAR in w:
         raise SequenceParseError("precritical words contain no wildcard")
     s = nu.seq
-    return EPSeq(w + (STAR,) + s.pre, s.per, s.degree)
+    degree = s.degree
+    _check_letters(w, degree)
+    pre, per = w + (STAR,) + s.pre, s.per
+    if per is not None and not s.pre:
+        while pre and pre[-1] == per[-1]:
+            pre, per = pre[:-1], per[-1:] + per[:-1]
+    key = (pre, per, degree)
+    return EPSeq._intern.get(key) or EPSeq._store(key)
 
 
 @dataclass(frozen=True)

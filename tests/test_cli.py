@@ -69,6 +69,18 @@ PATH_GOLDEN = {
     ("--nu", "(1*)"): (
         "03c60f1e79d22a2afa53dc4326cb2955a2e63307514d4148e4ea72e20740b8da",
         "d99bf6f8638e561f876df75d6754cb29f7c52fc6a068e03bafcca1323f7130d3"),
+    # gapped paths, pinned while every point was built as a sequence: a
+    # standard bifurcation (gap, central and limit rows, Fatou markers),
+    # a second star-periodic one, and an eventually periodic nu
+    ("--nu", "(10010*)", "--depth", "12"): (
+        "446bd9aa6d73f416fa6447641cac5c9abf23afbe2152bc9eee397763c8b6b95b",
+        "f028d4285056fe4e5c208e19cc8e7016204f23e274989e9390acaa93a97e81df"),
+    ("--nu", "(1011*)", "--depth", "13"): (
+        "3f1aab0aa2c920e6ce01eb81b6b0d2c7d994f6023d32e5c8c98a1de8af40fabd",
+        "0b21d41877b97339318e47b9851944f3d361ccf0073cbdba8ea4d7e6fdd38e77"),
+    ("--nu", "10(011)", "--depth", "11"): (
+        "d2d03b0dc7b1f9293c6c52c7bc2a2b4ed418600a653c5aa5795892726b0fe5a4",
+        "85996a0c2c67f44ded12c81031e045cac76762af31f8a5048219a2ee5336698e"),
 }
 
 
@@ -121,11 +133,13 @@ TRUNCATED_GOLDEN = {
         "4f55548a1ef6b6bb662ea9afa6996d88dfbded18499b5afbaaebcf789899813a",
         "ebaa2efd2a3d65663c26723219b2647c18127b097ba2afb5d65d1dfc7e89ff42",
         "79c7165abeb95e2e7f7ea7061cca902025ed62420b04410833f1a48a5cd8785f"),
+    # relabelled to [1,2,3,1,2,4,1,2] (test_normalize_applies_to_prefix);
+    # the digests before --normalize reached prefixes printed it as given
     ("--degree", "inf", "--normalize", "--prefix", "--nu", "[1,5,-2,1,5,3,1,5]"): (
-        "c3546f429b8e50fad173a7c86b4ae5f038ae4713cd383138083b2eff52948afa",
-        "ebdd159493b71efcddb1137b02f7c50d6d296bcf7c4f1e1beca72e788e939c55",
-        "541e93914c74af30793012747e76f450102bb90f211592d1b84b274875e3e2f5",
-        "66bd61ad613c30cb245fab88d209f5304f0b9288e2bbad6824d0ad9a40c8a2a7"),
+        "d5ddf0b5f2ae633d962388f8a378980e7471bf23875ccdb008f546fcf97c1ffb",
+        "c6418fb83f2dfe01ca8454d0588b09400823e01ddc35947ab3114d9a9204590f",
+        "9eb01a166bc6c8c6e5bdc1f07b3debbf5c7ae29c03b1bf1bde3aa633055e74e6",
+        "d0e4d5e724d4ddce9f3b98f87f5ffdd5f48f37875d1786179212deb0afad39e5"),
     ("--gen", "staircase", "--depth", "8"): (
         "d5951049eb9bc4b06fd00931dc99b3ef4066130369de2dad50385587bafaf60d",
         "e2fcaa253871b75ea1454402ff1a88a8c02a0c39fd9cb19e180a2bba3f71d966",
@@ -630,6 +644,16 @@ def test_normalize_infinite_degree():
 
 def test_normalize_finite_degree_rejected():
     assert run("tree", "--nu", "(10*)", "--normalize").returncode == 2
+
+
+def test_normalize_applies_to_prefix():
+    args = cli.build_parser().parse_args(
+        ["tree", "--degree", "inf", "--normalize", "--prefix",
+         "--nu", "[1,5,-2,1,5,3,1,5]"])
+    kn = cli.resolve_input(args)
+    assert (kn.seq.pre, kn.seq.per) == ((1, 2, 3, 1, 2, 4, 1, 2), None)
+    assert cli.main(["tree", "--degree", "2", "--normalize", "--prefix",
+                     "--nu", "10110"]) == 2
 
 
 # -- in-process main -------------------------------------------------------------------------------

@@ -430,3 +430,35 @@ def test_path_table_deterministic_and_shaped():
     lines = t1.strip().split("\n")
     assert lines[0].split()[:5] == ["#", "kind", "depth", "word", "label"]
     assert any("gap-central" in ln for ln in lines)
+
+
+# -- points as words ------------------------------------------------------------------
+
+
+def test_path_builds_no_sequence_per_point():
+    nu = kneading("(10*)")
+    before = len(EPSeq._intern)
+    path = build_critical_path(nu, 12)
+    path_table(path)
+    assert len(EPSeq._intern) - before < 64
+    assert len(path.points) > 2000
+
+
+def test_point_sequences_are_built_on_read():
+    for text in ("(10*)", "(10010*)", "10(011)"):
+        nu = kneading(text)
+        path = build_critical_path(nu, 7)
+        s = nu.seq
+        for pt in path.points:
+            if pt.word is not None:
+                assert pt.seq is precritical(pt.word, nu)
+                assert pt.seq is EPSeq(pt.word + (STAR,) + s.pre, s.per, 2)
+
+
+def test_path_points_compare_by_value():
+    nu = kneading("(1011*)")
+    a, b = build_pn(nu, 6).points, build_pn(nu, 6).points
+    for pt in a:
+        pt.seq  # reading seq leaves equality and hash alone
+    assert a == b and list(map(hash, a)) == list(map(hash, b))
+    assert a[0] != build_pn(kneading("(10*)"), 6).points[0]  # *nu of another nu

@@ -1,6 +1,7 @@
 """Sequence representation, diff, kneading validation, angles."""
 
 import copy
+import itertools
 import math
 import pickle
 import sys
@@ -171,6 +172,66 @@ def test_precritical_depths():
     assert p1.star_depth() == 2
     assert p1 == nu.seq.shift(2)  # sigma^2(nu) = 1*nu for this sequence
     assert precritical((1, 1), nu).star_depth() == 3
+
+
+TRUSTED_NU = {
+    2: ["(1*)", "(10*)", "(1011*)", "(10010*)", "10(011)", "1(10)", "1101(0)"],
+    3: ["(12*)", "(1201*)", "(1021*)", "12(0)", "1(120)"],
+    INF: ["[|1,5,*]", "[|1,2,1,3,*]", "[1,4|2,0]", "[1|2,-3,4]"],
+}
+TRUSTED_PREFIX = {2: ["1011011100", "1"], 3: ["1201120"], INF: ["[1,5,-2,1,5]"]}
+
+
+def _nu(text, degree):
+    """A kneading sequence, or a prefix for text without a period."""
+    if "(" in text or "|" in text:
+        return kneading(text, degree)
+    return validate_kneading(parse_prefix(text, degree))
+
+
+def _trusted_words(nu):
+    """Short words over a few letters, plus words ending in the letters of
+    nu's period before its wildcard, so that w*nu rotates the period more
+    than once (all the way round for w = nu_1..nu_{p-1}, where w*nu = nu)."""
+    s = nu.seq
+    letters = [0, 1, 2][:s.degree] if s.degree is not INF else [0, 1, 5, -3]
+    words = [w for n in range(5) for w in itertools.product(letters, repeat=n)]
+    if s.per is not None and not s.pre:
+        body = s.per[:-1]
+        for head in ((), (0,), (1,), body + (1,), body + (0,)):
+            words += [head + body, head + body + body[-1:], head + body[-2:]]
+    return words
+
+
+@pytest.mark.parametrize("degree", [2, 3, INF])
+def test_precritical_is_the_full_constructor(degree):
+    nus = [_nu(t, degree) for t in TRUSTED_NU[degree] + TRUSTED_PREFIX[degree]]
+    most = 0  # the most rotations of a star-periodic nu's period
+    for nu in nus:
+        s = nu.seq
+        for w in _trusted_words(nu):
+            got = precritical(w, nu)
+            assert got is EPSeq(w + (STAR,) + s.pre, s.per, degree), (nu, w)
+            assert got.star_depth() == len(w) + 1
+            if nu.star_periodic:
+                most = max(most, len(w) + 1 - len(got.pre))
+    assert most > 2
+
+
+@pytest.mark.parametrize("degree,text,word", [
+    (2, "(10*)", (1, STAR)),
+    (2, "(10*)", (2,)),
+    (2, "10(011)", (0, -1)),
+    (2, "1011", (1, 2)),
+    (3, "(12*)", (3,)),
+    (3, "12(0)", (1, STAR, 0)),
+    (INF, "[|1,5,*]", (STAR,)),
+    (INF, "[|1,5,*]", ("1",)),
+])
+def test_precritical_checks_its_word(degree, text, word):
+    nu = _nu(text, degree)
+    with pytest.raises(SequenceParseError):
+        precritical(word, nu)
 
 
 # -- bifurcations --------------------------------------------------------------------
@@ -457,3 +518,34 @@ def test_interning_is_atomic_under_threads():
         first = got[0][j]
         assert all(g[j] is first for g in got[1:])
         assert EPSeq(pre, per, 9) is first
+
+
+def test_precritical_interning_is_atomic_under_threads():
+    # points w*nu no other test builds: degree 7, 12-letter words
+    nu = kneading("(1560*)", 7)
+    words = [tuple(6 - int(b) for b in f"{i:012b}") for i in range(3000)]
+    assert not any(EPSeq._intern.get((w, (STAR, 1, 5, 6, 0), 7)) for w in words)
+    workers = 4
+    barrier = threading.Barrier(workers, timeout=30)
+    got = [None] * workers
+
+    def build(slot):
+        barrier.wait()
+        got[slot] = [precritical(w, nu) for w in words]
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g is not None for g in got)
+    for j, w in enumerate(words):
+        assert all(g[j] is got[0][j] for g in got[1:])
+        assert precritical(w, nu) is got[0][j]
