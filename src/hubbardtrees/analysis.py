@@ -257,21 +257,13 @@ class InternalAddress:
         return s if self.finite else s + " -> ..."
 
 
-def _raw_ne(x, y) -> bool:
-    # the wildcard counts as different from both letters here
-    return x is not y and x != y
-
-
 def _rho(s: EPSeq, gap: int) -> Optional[int]:
     """First k > gap with s_k differing from s_{k-gap}, wildcard strict;
     None when the self-comparison matches forever (or past the trusted
     window for truncated input)."""
-    if s.exact:
-        bound = len(s.pre) + gap + len(s.per)
-    else:
-        bound = len(s.pre)
-    for k in range(gap + 1, bound + 1):
-        if _raw_ne(s.at(k), s.at(k - gap)):
+    xs = s.letters(len(s.pre) + gap + len(s.per or ()))
+    for k, (x, y) in enumerate(zip(xs[gap:], xs), gap + 1):
+        if x != y:
             return k
     return None
 

@@ -244,7 +244,7 @@ def _seq_key(s: EPSeq):
     named by w, its letters before the first wildcard; any other point is
     named by itself."""
     d = s.star_depth()
-    return s if d is None else tuple(map(s.at, range(1, d)))
+    return s if d is None else s.letters(d - 1)
 
 
 def _point_key(pt: PathPoint):

@@ -87,21 +87,13 @@ def _layout(tree: HubbardTree) -> Dict[int, tuple]:
     """Layered positions rooted at the critical value; leaves get
     consecutive x slots, interior nodes the mean of their children."""
     order = vertex_order(tree)
-    root = tree.nu
-    parent = {root: None}
-    layers = {root: 0}
-    queue = [root]
-    children: Dict = {v: [] for v in tree.adj}
-    while queue:
-        nxt = []
-        for u in sorted(queue, key=lambda v: order[v]):
-            for v in sorted(tree.adj[u], key=lambda v: order[v]):
-                if v not in parent:
-                    parent[v] = u
-                    layers[v] = layers[u] + 1
-                    children[u].append(v)
-                    nxt.append(v)
-        queue = nxt
+    layers = {tree.nu: 0}
+    children: Dict = {v: [] for v in order}
+    for v in list(order)[1:]:
+        # ids run breadth-first, so a vertex's parent is its least neighbour
+        u = min(tree.adj[v], key=order.__getitem__)
+        layers[v] = layers[u] + 1
+        children[u].append(v)
 
     xpos: Dict = {}
     counter = [0]
@@ -116,7 +108,7 @@ def _layout(tree: HubbardTree) -> Dict[int, tuple]:
                 place(k)
             xpos[v] = sum(xpos[k] for k in kids) / len(kids)
 
-    place(root)
+    place(tree.nu)
     return {order[v]: (xpos[v], layers[v]) for v in tree.adj}
 
 

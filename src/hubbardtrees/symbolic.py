@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, cycle
 from typing import Iterable, Optional, Tuple, Union
 
 from .errors import (
@@ -102,6 +101,8 @@ class EPSeq:
     truncated points (for example ``w*nu`` over a truncated ``nu``) may
     carry wildcards even though user input never does.  A truncation and
     the exact sequence with the same letters are different values.
+    ``letters(n)``, the first n symbols, is the one expansion every scan
+    reads: a truncation simply has no letters past its word.
 
     Instances are immutable and interned per (pre, per, degree), so
     identity is equality.
@@ -184,6 +185,14 @@ class EPSeq:
             return None
         return self.per[(i - len(self.pre)) % len(self.per)]
 
+    def letters(self, n: int) -> Word:
+        """The first n symbols, or all of a shorter truncation's."""
+        pre, per = self.pre, self.per
+        if n <= len(pre) or per is None:
+            return pre[:n]
+        q, r = divmod(n - len(pre), len(per))
+        return pre + per * q + per[:r]
+
     def tail(self) -> "EPSeq":
         """The left shift by one, cached."""
         t = self._tail
@@ -208,15 +217,13 @@ class EPSeq:
         return s
 
     def contains_star(self) -> bool:
-        return any(x is STAR for x in self.pre + (self.per or ()))
+        return STAR in self.pre + (self.per or ())
 
     def star_depth(self) -> Optional[int]:
         """Position of the first wildcard (the depth of a precritical
         point), or None for wildcard-free sequences."""
-        for i, x in enumerate(self.pre + (self.per or ()), 1):
-            if x is STAR:
-                return i
-        return None
+        word = self.pre + (self.per or ())
+        return word.index(STAR) + 1 if STAR in word else None
 
     def orbit(self) -> list:
         """All distinct shifts, in shift order (finite for any EPSeq)."""
@@ -229,27 +236,26 @@ class EPSeq:
         return out
 
 
+def _bound(a: EPSeq, b: EPSeq) -> int:
+    """How far two sequences are read: the longer preperiod plus the lcm
+    of the periods, a truncation's period counting as 1.  Two exact
+    sequences that agree this far agree everywhere, because a difference
+    position is an eventually periodic predicate with that modulus; and
+    the bound passes the end of any truncation, where ``letters`` stop."""
+    return max(len(a.pre), len(b.pre)) + math.lcm(len(a.per or (STAR,)),
+                                                  len(b.per or (STAR,)))
+
+
 def seq_cmp(a: EPSeq, b: EPSeq) -> int:
     """Total order: lexicographic on the expansion, letters by value,
-    wildcard last; used only for deterministic tie-breaking."""
+    wildcard last, a truncation before its extensions; used only for
+    deterministic tie-breaking."""
     if a is b:
         return 0
-    if a.exact and b.exact:
-        bound = max(len(a.pre), len(b.pre)) + math.lcm(len(a.per), len(b.per))
-    else:
-        wa = len(a.pre) + len(a.per or ())
-        wb = len(b.pre) + len(b.per or ())
-        bound = max(wa, wb) * 2 + 2
-    for i in range(1, bound + 1):
-        x, y = a.at(i), b.at(i)
-        if x is None or y is None:
-            if x is None and y is None:
-                break
-            return -1 if x is None else 1
-        kx, ky = _sym_key(x), _sym_key(y)
-        if kx != ky:
-            return -1 if kx < ky else 1
-    return 0
+    n = _bound(a, b)
+    ka = [_sym_key(x) for x in a.letters(n)]
+    kb = [_sym_key(x) for x in b.letters(n)]
+    return (ka > kb) - (ka < kb)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +266,8 @@ def diff(a: EPSeq, b: EPSeq):
     """Position of the first index where both symbols are letters and
     differ; the wildcard matches everything.  INF when no such index.
 
-    Checking up to (max preperiod + lcm of periods) is complete because a
-    difference position is an eventually periodic predicate with that
-    modulus.  For truncated inputs, INF only means "no difference within
-    the shared trustworthy window"; use :func:`diff_within` to get the
-    window size.
+    For truncated inputs, INF only means "no difference within the shared
+    trustworthy window"; use :func:`diff_within` to get the window size.
     """
     return diff_within(a, b)[0]
 
@@ -272,17 +275,13 @@ def diff(a: EPSeq, b: EPSeq):
 def diff_within(a: EPSeq, b: EPSeq):
     """``(value, window)``: the first-difference position if it occurs
     within the trustworthy window, else (INF, window); window is INF when
-    both inputs are exact."""
+    both inputs are exact, else the shortest truncation's length."""
     if a.degree != b.degree:
         raise WrongDegree("diff requires sequences over the same alphabet")
-    if a.exact and b.exact:
-        window = INF
-        bound = max(len(a.pre), len(b.pre)) + math.lcm(len(a.per), len(b.per))
-    else:
-        window = bound = min(len(s.pre) for s in (a, b) if not s.exact)
-    xs, ys = (s.pre if s.per is None else chain(s.pre, cycle(s.per))
-              for s in (a, b))
-    for i, x, y in zip(range(1, bound + 1), xs, ys):
+    window = (INF if a.exact and b.exact
+              else min(len(s.pre) for s in (a, b) if not s.exact))
+    n = _bound(a, b)
+    for i, (x, y) in enumerate(zip(a.letters(n), b.letters(n)), 1):
         if x is not y and x != y and x is not STAR and y is not STAR:
             return i, window
     return INF, window
@@ -584,13 +583,11 @@ def _fmt_sym(sym: Symbol) -> str:
 
 
 def format_sequence(s: EPSeq) -> str:
+    compact = s.degree <= 10  # checked letters are then single digits
     if not s.exact:
-        if all(isinstance(x, int) and 0 <= x <= 9 for x in s.pre):
-            return "".join(_fmt_sym(x) for x in s.pre)
-        return "[" + ",".join(_fmt_sym(x) for x in s.pre) + "]"
-    compact = s.degree is not INF and s.degree <= 10 and all(
-        x is STAR or 0 <= x <= 9 for x in s.pre + s.per
-    )
+        if compact and STAR not in s.pre:
+            return "".join(map(_fmt_sym, s.pre))
+        return "[" + ",".join(map(_fmt_sym, s.pre)) + "]"
     if compact:
         return "".join(map(_fmt_sym, s.pre)) + "(" + "".join(map(_fmt_sym, s.per)) + ")"
     return ("[" + ",".join(map(_fmt_sym, s.pre)) + "|"

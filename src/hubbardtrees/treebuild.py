@@ -170,11 +170,9 @@ def same_point(x: EPSeq, y: EPSeq) -> bool:
         if y.exact:
             return False  # interned: distinct exact points differ
         x, y = y, x
-    if y.exact:
-        # the wildcard is a singleton equal only to itself
-        return all(y.at(i) == s for i, s in enumerate(x.pre, 1))
-    n = min(len(x.pre), len(y.pre))
-    return x.pre[:n] == y.pre[:n]
+    # x is a truncation; the wildcard is a singleton equal only to itself
+    ys = y.letters(len(x.pre))
+    return x.pre[:len(ys)] == ys
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +475,10 @@ class MarkovData:
         return np.array(self.rows, dtype=np.int64)
 
 
-def sigma_closure(tree: HubbardTree, cap: int = 4096) -> HubbardTree:
+_CLOSURE_CAP = 4096  # vertices; a closure past this is a bug, not an input
+
+
+def sigma_closure(tree: HubbardTree) -> HubbardTree:
     """The tree itself if its vertex set and postcritical labels are
     closed under the shift, else a closed copy (the input is untouched)."""
     t = tree
@@ -485,7 +486,7 @@ def sigma_closure(tree: HubbardTree, cap: int = 4096) -> HubbardTree:
     while not stable:
         stable = True
         for v in list(t.adj):
-            if len(t.adj) > cap:
+            if len(t.adj) > _CLOSURE_CAP:
                 raise MeetInconsistency("sigma closure exploded; likely a bug")
             s = v.tail()
             pc = t.postcritical.get(v)

@@ -448,6 +448,27 @@ def test_format_parse_round_trip(s):
         assert parse_sequence(format_sequence(s), 2) == s
 
 
+def test_format_keys_both_kinds_on_the_degree():
+    # letters run together as digits up to degree 10 only, truncation or not
+    assert format_sequence(EPSeq((1, 5, 3), None, INF)) == "[1,5,3]"
+    assert format_sequence(EPSeq((1, 5, 3), None, 12)) == "[1,5,3]"
+    assert format_sequence(EPSeq((1, 5), (3,), 12)) == "[1,5|3]"
+    assert format_sequence(EPSeq((1, 5, 3), None, 10)) == "153"
+    assert format_sequence(EPSeq((1, 5), (3,), 10)) == "15(3)"
+    # a truncation with a wildcard keeps its bracket form
+    assert format_sequence(EPSeq((STAR, 1, 0), None, 2)) == "[*,1,0]"
+
+
+def test_letters_lay_out_the_expansion():
+    s = parse_sequence("10(110)", 2)
+    assert s.letters(0) == ()
+    assert s.letters(1) == (1,)
+    assert s.letters(9) == tuple(map(s.at, range(1, 10)))
+    trunc = EPSeq((1, 0, 1), None, 2)
+    assert trunc.letters(2) == (1, 0)
+    assert trunc.letters(9) == (1, 0, 1)
+
+
 def test_prefix_round_trip():
     p = parse_prefix("110100100", 2)
     assert p.pre == (1, 1, 0, 1, 0, 0, 1, 0, 0)

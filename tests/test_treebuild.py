@@ -24,6 +24,7 @@ from hubbardtrees.symbolic import (
     parse_prefix,
     parse_sequence,
     precritical,
+    seq_cmp,
     validate_kneading,
 )
 from hubbardtrees.treebuild import (
@@ -328,6 +329,72 @@ def test_same_point_identifies_a_truncation_with_its_extensions():
     assert same_point(crit, EPSeq((STAR, 1, 0, 1), None, 2))
     assert not same_point(crit, EPSeq((1, 1, 0, 1), None, 2))
     assert not same_point(p, parse_sequence("(011)"))
+
+
+def _reference_seq_cmp(a, b):
+    """seq_cmp as a per-index loop with its own truncation bound."""
+    def key(x):
+        return (1, 0) if x is STAR else (0, x)
+
+    if a is b:
+        return 0
+    if a.exact and b.exact:
+        bound = max(len(a.pre), len(b.pre)) + math.lcm(len(a.per), len(b.per))
+    else:
+        wa = len(a.pre) + len(a.per or ())
+        wb = len(b.pre) + len(b.per or ())
+        bound = max(wa, wb) * 2 + 2
+    for i in range(1, bound + 1):
+        x, y = a.at(i), b.at(i)
+        if x is None or y is None:
+            if x is None and y is None:
+                break
+            return -1 if x is None else 1
+        if key(x) != key(y):
+            return -1 if key(x) < key(y) else 1
+    return 0
+
+
+def _reference_same_point(x, y):
+    """same_point reading one symbol at a time."""
+    if x is y:
+        return True
+    if x.exact:
+        if y.exact:
+            return False
+        x, y = y, x
+    if y.exact:
+        return all(y.at(i) == s for i, s in enumerate(x.pre, 1))
+    n = min(len(x.pre), len(y.pre))
+    return x.pre[:n] == y.pre[:n]
+
+
+def _comparison_points(degree, words):
+    """Vertices of the prefix trees of some words, with and without the
+    wildcard, plus the exact trees' vertices of the star words."""
+    points = set()
+    for word in words:
+        points.update(build_tree(validate_kneading(EPSeq(word, None, degree))).vertices())
+    for kn in star_periodic_sequences(5, degree=degree):
+        points.update(build_tree(kn).vertices())
+    return sorted(points, key=fs)
+
+
+@pytest.mark.parametrize("degree,words", [
+    (2, [(1,) + bits for bits in itertools.product((0, 1), repeat=8)][::3]),
+    (3, [(1,) + bits for bits in itertools.product((0, 1, 2), repeat=6)][::17]),
+])
+def test_seq_cmp_and_same_point_match_reference_loops(degree, words):
+    points = _comparison_points(degree, words)
+    assert any(not p.exact and p.contains_star() for p in points)
+    rng = random.Random(degree)
+    pairs = [tuple(rng.sample(points, 2)) for _ in range(10_000)]
+    # each point next to its first three letters, a truncation it extends
+    pairs += [(p, EPSeq([x for x in map(p.at, (1, 2, 3)) if x is not None],
+                        None, degree)) for p in points]
+    for a, b in pairs:
+        assert seq_cmp(a, b) == _reference_seq_cmp(a, b), (fs(a), fs(b))
+        assert same_point(a, b) is _reference_same_point(a, b), (fs(a), fs(b))
 
 
 def _one_point(x, y):
