@@ -151,6 +151,12 @@ def build_pn(nu: KneadingSequence, n: int) -> CriticalPath:
     |P_{n+1}| = 2|P_n| - 1 - #gaps(P_n); a gap pair stays adjacent at
     every later stage.  A stage past MAX_PATH_POINTS points raises
     DepthBudgetExceeded before it is complete.
+
+    Only a star-periodic nu has gaps; a truncation certifies none, and a
+    wildcard-free exact nu is not purely periodic (validate_kneading), two
+    words of equal length differ at a letter, and ``diff(w_a*nu, w_b*nu)
+    = INF`` with ``|w_a| < |w_b|`` would give ``nu[i + |w_b| - |w_a|] =
+    nu[i]`` for all ``i >= 0``; ``(nu, w*nu)`` likewise, shifted ``|w| + 1``.
     """
     _require_nontrivial(nu)
     if n < 1:
@@ -178,10 +184,8 @@ def build_pn(nu: KneadingSequence, n: int) -> CriticalPath:
         out.append(PathPoint("precritical", Fraction(num, scale), len(w) + 1, w, nu))
     out.append(PathPoint("critical-value", Fraction(1), itinerary=nu.seq))
 
-    # a no-difference answer certifies a gap only for exact sequences;
-    # for truncated input it just means "unsplit within the window"
     gaps = []
-    if nu.exact:
+    if nu.star_periodic:
         for i in range(last):
             k, letters = words.split(points[i][0], points[i + 1][0])
             if k is INF:

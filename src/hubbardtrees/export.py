@@ -26,29 +26,39 @@ def _meta(tree: HubbardTree) -> dict:
 
 
 def _nodes_edges(tree: HubbardTree):
+    """Vertex ids, node records and edge records, each Fatou flag once."""
     order = vertex_order(tree)
-    nodes = []
-    for v in order:  # insertion order is id order
-        kind = tree.kind_of(v)
-        nodes.append({
-            "id": order[v],
-            "itinerary": format_sequence(v),
-            "kind": kind,
-            "depth": 0 if kind == "critical-value" else v.star_depth(),
-        })
-    edges = sorted((*sorted((order[u], order[v])), tree.is_fatou_edge(u, v))
-                   for u, v in tree.edges())
-    return nodes, [{"a": a, "b": b, "fatou": f} for a, b, f in edges]
+    flagged = [(u, v, tree.is_fatou_edge(u, v)) for u, v in tree.edges()]
+    fatou_ends = {x for u, v, f in flagged if f for x in (u, v)}
+    nodes = [{"id": i, "itinerary": format_sequence(v),
+              "kind": tree.kind_of(v, fatou_ends),
+              "depth": 0 if v is tree.nu else v.star_depth()}
+             for v, i in order.items()]  # insertion order is id order
+    edges = sorted((*sorted((order[u], order[v])), f) for u, v, f in flagged)
+    return order, nodes, [{"a": a, "b": b, "fatou": f} for a, b, f in edges]
 
 
 def tree_to_json(tree: HubbardTree) -> str:
-    nodes, edges = _nodes_edges(tree)
-    doc = {"meta": _meta(tree), "nodes": nodes, "edges": edges}
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"`` for the fixed schema, written
+    directly; strings and None still go through ``json.dumps``."""
+    _, nodes, edges = _nodes_edges(tree)
+    q = json.dumps
+    node = ('    {\n      "id": %d,\n      "itinerary": %s,\n      "kind": %s,\n'
+            '      "depth": %s\n    }')
+    edge = '    {\n      "a": %d,\n      "b": %d,\n      "fatou": %s\n    }'
+    meta = ",\n".join(f"    {q(k)}: {q(x)}" for k, x in _meta(tree).items())
+    nodes = ",\n".join(node % (n["id"], q(n["itinerary"]), q(n["kind"]),
+                               q(None) if n["depth"] is None else n["depth"])
+                       for n in nodes)
+    edges = ",\n".join(edge % (e["a"], e["b"], ("false", "true")[e["fatou"]])
+                       for e in edges)
+    # a tree has an edge, so neither list prints as []
+    return (f'{{\n  "meta": {{\n{meta}\n  }},\n  "nodes": [\n{nodes}\n  ],\n'
+            f'  "edges": [\n{edges}\n  ]\n}}\n')
 
 
 def tree_to_dot(tree: HubbardTree) -> str:
-    nodes, edges = _nodes_edges(tree)
+    _, nodes, edges = _nodes_edges(tree)
     lines = ["graph hubbard_tree {"]
     lines.append('  node [shape=circle, fontsize=10];')
     for nd in nodes:
@@ -65,7 +75,7 @@ def tree_to_dot(tree: HubbardTree) -> str:
 
 
 def tree_to_text(tree: HubbardTree) -> str:
-    nodes, edges = _nodes_edges(tree)
+    _, nodes, edges = _nodes_edges(tree)
     meta = _meta(tree)
     lines = [
         f"nu={meta['nu']} degree={meta['degree']} mode={meta['mode']}"
@@ -83,10 +93,9 @@ def tree_to_text(tree: HubbardTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _layout(tree: HubbardTree) -> Dict[int, tuple]:
+def _layout(tree: HubbardTree, order: Dict) -> Dict[int, tuple]:
     """Layered positions rooted at the critical value; leaves get
     consecutive x slots, interior nodes the mean of their children."""
-    order = vertex_order(tree)
     layers = {tree.nu: 0}
     children: Dict = {v: [] for v in order}
     for v in list(order)[1:]:
@@ -113,8 +122,8 @@ def _layout(tree: HubbardTree) -> Dict[int, tuple]:
 
 
 def tree_to_svg(tree: HubbardTree) -> str:
-    nodes, edges = _nodes_edges(tree)
-    pos = _layout(tree)
+    order, nodes, edges = _nodes_edges(tree)
+    pos = _layout(tree, order)
     step_x, step_y, pad = 110, 80, 50
     width = int(max(x for x, _ in pos.values()) * step_x) + 2 * pad
     height = int(max(y for _, y in pos.values()) * step_y) + 2 * pad

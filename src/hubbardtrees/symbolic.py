@@ -197,11 +197,14 @@ class EPSeq:
         """The left shift by one, cached."""
         t = self._tail
         if t is None:
-            if self.pre or self.per is None:
-                t = EPSeq(self.pre[1:], self.per, self.degree)
+            # trusted, as in precritical: a shift of a canonical sequence is
+            # canonical (a rotated primitive period is primitive) and checked
+            pre, per = self.pre, self.per
+            if pre or per is None:
+                key = (pre[1:], per, self.degree)
             else:
-                t = EPSeq((), self.per[1:] + self.per[:1], self.degree)
-            self._tail = t
+                key = ((), per[1:] + per[:1], self.degree)
+            t = self._tail = EPSeq._intern.get(key) or EPSeq._store(key)
         return t
 
     def shift(self, k: int) -> "EPSeq":

@@ -308,7 +308,7 @@ class HubbardTree:
         for _ in range(cap):
             advanced = False
             for u in self.adj[cur]:
-                if prev is not None and u == prev:
+                if u is prev:
                     continue
                 m = meet(p, cur, u, self.kneading)
                 if same_point(m, cur):
@@ -364,16 +364,16 @@ class HubbardTree:
 
     # -- vertex kinds ----------------------------------------------------------
 
-    def kind_of(self, v: EPSeq) -> str:
-        if v == self.nu:
+    def kind_of(self, v: EPSeq, fatou_ends: set) -> str:
+        if v is self.nu:
             return "critical-value"
-        if v == self.crit:
+        if v is self.crit:
             return "critical-point"
         if v in self.postcritical:
             return "postcritical"
         if v.contains_star():
             return "precritical"
-        if any(self.is_fatou_edge(v, u) for u in self.adj[v]):
+        if v in fatou_ends:
             return "fatou-boundary"
         return "plain"
 
@@ -389,10 +389,13 @@ def vertex_order(tree: HubbardTree) -> Dict[EPSeq, int]:
     while queue:
         nxt = []
         for u in queue:
-            for v in sorted(tree.adj[u], key=key):
-                if v not in order:
-                    order[v] = len(order)
-                    nxt.append(v)
+            # seq_cmp has no ties, so sorting just these gives the same ids
+            new = [v for v in tree.adj[u] if v not in order]
+            if len(new) > 1:
+                new.sort(key=key)
+            for v in new:
+                order[v] = len(order)
+            nxt += new
         queue = nxt
     return order
 

@@ -183,6 +183,52 @@ def test_truncated_output_is_byte_identical_to_golden(args, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, (cmd, args)
 
 
+# SHA-256 of `tree` output of exact input in each format, as printed while
+# the JSON went through json.dumps and each edge's Fatou flag was computed
+# per use; (1001101100*) has vertex periods with lcm 77
+TREE_FORMATS = ("json", "text", "dot", "svg")
+TREE_GOLDEN = {
+    ("--nu", "(10110*)"): (
+        "fc87fb320e760e7f705cb279f22f99fea157ba05e9d2a306327254e3319bb14a",
+        "e9ba21c475514a0cfff9537711cb24524273358ed1d575d697fd451da9085084",
+        "1cc1b18a35adbcc71e8c771e08e4a76dd6156ff02f090ae7f73088a8fc02d76c",
+        "88bcc87c80194bc46a89e4dd5c13cd39fa8d6f5628d8b2cc80c55ce4fe2b7369"),
+    ("--nu", "(1001101100*)"): (
+        "f19ccc7d78459d3277f58311d0d9c6d8d2a6473ade0fe22fd97d3252ba063651",
+        "13e86accc9a6342e7d51844eb63e8a6a1a7b5b4028aae91f7b4cf6fe3fba7599",
+        "63567e824ef94e99fd74495f2b790837c19b4ed0bf06a72b9ca8867ef6dc074e",
+        "e6f082a2609d7f60431764f4ec6872af1569d7d1d366a7999645ba84c700f20c"),
+    ("--nu", "1(10)"): (
+        "7b83607b20d0c19d40e2c882e763877f404f2fc030f2c01409439d194c79144b",
+        "144868caecb045e64284e9c66ba4e615acf7faf1e25a111de22b32f477890cc8",
+        "0e4b956f97eb75ff845ef08b78f45ff2ef559d468777b68780662f34c23f61bc",
+        "5a6817558da7cf9ef109b0cc0d7ca1160b158cdd17031934b656f45ab4618769"),
+    ("--nu", "10(0011)"): (
+        "825df96761454ffbb093f6cfb87580cef2f584ec26d3d2e5ddf155f2dda244f7",
+        "c06f403fb3b25a67b8638b36c06f2a4ae87442f6e24facb8fed533ed185144c7",
+        "c05dfe49e88b9ceefe4c28fa8ca2a00e3d65086cdcc79e12f776dfbaaf5fb75e",
+        "98ad864dce28f0c697b17ca29f7c76ae9af43fbc3a07565eade7c97521369e8d"),
+    ("--degree", "3", "--nu", "(12120*)"): (
+        "9c7d3f7dec123a2f775897db470edd213eb4825d86149a292b26ba0a168bf8c0",
+        "2d4f2c5e69637ded7a7eccb06dd7ef73d148c86e376112395f59d3fdcf267776",
+        "8fd5998f5ca4cfe2728bccd5998992317888c482c356a10bac4414539db85b63",
+        "df91d94fdd9f86cb8122038716aa624bb3e8efb0c9a05837c85cf13e7cf5c031"),
+    ("--degree", "inf", "--nu", "[|1,5,*]"): (
+        "f62a3370b3f253d96353c4e9630c2bc7eae07161bc31f1825e2a086c5a00844d",
+        "b4b87567e283a1e9900ee80858845ec58d8b52ac6bd836067227d95e23a25110",
+        "d21a9451140ffd9bd256559b28680cd807e0dd500ea0ff463193ce2e5c1bad9b",
+        "094b106a11886f8adc7de4259005cbd433157e12b04c44a8e43d1823f03f9825"),
+}
+
+
+@pytest.mark.parametrize("args", list(TREE_GOLDEN))
+def test_tree_output_is_byte_identical_to_golden(args, capsys):
+    for fmt, want in zip(TREE_FORMATS, TREE_GOLDEN[args]):
+        assert main(["tree", *args, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (args, fmt)
+
+
 # -- tree ----------------------------------------------------------------------------
 
 

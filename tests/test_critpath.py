@@ -16,6 +16,7 @@ from hubbardtrees.critpath import (
 )
 from hubbardtrees.errors import (
     DepthBudgetExceeded,
+    KneadingError,
     NotStarPeriodic,
     PeriodicWithoutStar,
     TrivialKneadingSequence,
@@ -305,6 +306,40 @@ def test_gaps_iff_standard_bifurcation_higher_degree(degree, pmax):
     for kn in star_periodic_sequences(pmax, degree=degree):
         has_gap = bool(build_pn(kn, kn.period).gaps)
         assert has_gap == (classify_bifurcation(kn).kind == "standard"), str(kn)
+
+
+def _eventually_periodic(degree, maxpre, maxper):
+    """Every wildcard-free exact kneading sequence with a preperiod of at
+    most maxpre letters and a period of at most maxper."""
+    out = {}
+    for a, b in itertools.product(range(maxpre + 1), range(1, maxper + 1)):
+        for pre in itertools.product(range(degree), repeat=a):
+            for per in itertools.product(range(degree), repeat=b):
+                try:
+                    kn = validate_kneading(EPSeq(pre, per, degree))
+                except KneadingError:
+                    continue
+                out[kn.seq] = kn
+    return list(out.values())
+
+
+def _reference_gaps(path):
+    """The full pair scan: every adjacent pair of P_n without a difference."""
+    pts = [pt.seq for pt in path.points]
+    return [(a, b) for a, b in zip(pts, pts[1:]) if diff(a, b) is INF]
+
+
+def test_only_star_periodic_sequences_have_gaps():
+    kns = _eventually_periodic(2, 4, 4) + _eventually_periodic(3, 3, 3)
+    assert len(kns) == 451
+    kns += list(star_periodic_sequences(7))  # where gaps do occur
+    gapped = 0
+    for kn in kns:
+        path = build_pn(kn, 7)
+        want = _reference_gaps(path)
+        assert [(g.left, g.right) for g in path.gaps] == want, str(kn)
+        gapped += bool(want)
+    assert gapped > 3
 
 
 def test_shift_distance_never_multiple_of_period():

@@ -234,6 +234,24 @@ def test_precritical_checks_its_word(degree, text, word):
         precritical(word, nu)
 
 
+@pytest.mark.parametrize("degree", [2, 3, INF])
+def test_tail_is_the_full_constructor(degree):
+    # exact, truncated and wildcard points, walked along their orbits
+    nus = [_nu(t, degree) for t in TRUSTED_NU[degree] + TRUSTED_PREFIX[degree]]
+    starts = [nu.seq for nu in nus]
+    starts += [precritical(w, nu) for nu in nus for w in _trusted_words(nu)]
+    rotations = 0
+    for s in starts:
+        for _ in range(len(s.pre) + len(s.per or ()) + 1):
+            # drop the first letter of the expansion and canonicalise anew
+            word = s.pre if s.pre or not s.exact else s.per
+            want = EPSeq(word[1:], s.per, degree)
+            assert s.tail() is want, s
+            rotations += s.exact and not s.pre and len(s.per) > 1
+            s = want
+    assert rotations > 100
+
+
 # -- bifurcations --------------------------------------------------------------------
 
 

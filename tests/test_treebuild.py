@@ -1,5 +1,6 @@
 """Tree assembly, the meet oracle, Markov data, exports."""
 
+import functools
 import itertools
 import json
 import math
@@ -11,7 +12,14 @@ import pytest
 
 from hubbardtrees.critpath import build_pn, lower_sequence
 from hubbardtrees.errors import MeetInconsistency, TruncatedTree
-from hubbardtrees.export import tree_to_dot, tree_to_json, tree_to_svg, tree_to_text
+from hubbardtrees.export import (
+    _meta,
+    _nodes_edges,
+    tree_to_dot,
+    tree_to_json,
+    tree_to_svg,
+    tree_to_text,
+)
 from hubbardtrees.generators import make, staircase
 from hubbardtrees.symbolic import (
     EPSeq,
@@ -697,3 +705,55 @@ def test_export_ids_stable_under_insertion_order():
     for s in lower_sequence(kn).orbit():
         t2.insert_point(s)
     assert tree_to_json(t1) == tree_to_json(t2)
+
+
+def _export_trees():
+    """Trees of every export shape: the kernel corpus, star words of
+    period 8, prefix trees of degrees 2 and 3, the generators, more
+    eventually periodic words, and star words cut short at a stage."""
+    kns = _kernel_corpus() + list(star_periodic_sequences(8, 8))
+    kns += [validate_kneading(parse_prefix(w)) for w in
+            ("1011011100", "1100011111", "1001011000", "110100100010000100000")]
+    kns.append(validate_kneading(parse_prefix("1201120", 3)))
+    kns += [make(name, depth=d) for name in ("staircase", "feigenbaum")
+            for d in (8, 11, 14, 24)]
+    kns += [kneading(t) for t in ("10(0011)", "10(011)", "1101(0)")]
+    trees = [build_tree(kn) for kn in kns]
+    trees += [build_tree(kneading(t), 3) for t in ("(1001101100*)", "(10110*)")]
+    return trees
+
+
+def test_json_writer_matches_json_dumps():
+    nulls = truncations = 0
+    for t in _export_trees():
+        *_, nodes, edges = _nodes_edges(t)
+        doc = {"meta": _meta(t), "nodes": nodes, "edges": edges}
+        assert tree_to_json(t) == json.dumps(doc, indent=2) + "\n", fs(t.nu)
+        nulls += any(nd["depth"] is None for nd in nodes)
+        truncations += isinstance(doc["meta"]["truncation"], int)
+    assert nulls > 10 and truncations > 10
+
+
+def _reference_vertex_order(tree):
+    """Breadth-first ids that sort every neighbour list and skip the
+    vertices already numbered."""
+    key = functools.cmp_to_key(seq_cmp)
+    order = {tree.nu: 0}
+    queue = [tree.nu]
+    while queue:
+        nxt = []
+        for u in queue:
+            for v in sorted(tree.adj[u], key=key):
+                if v not in order:
+                    order[v] = len(order)
+                    nxt.append(v)
+        queue = nxt
+    return order
+
+
+def test_vertex_order_matches_sort_all_reference():
+    trees = _export_trees()
+    trees += [sigma_closure(t) for t in trees if t.finite]
+    for t in trees:
+        assert list(vertex_order(t).items()) == \
+            list(_reference_vertex_order(t).items()), fs(t.nu)
