@@ -40,10 +40,12 @@ from .symbolic import (
     KneadingSequence,
     STAR,
     angle_to_kneading,
+    format_key,
     format_sequence,
     parse_degree,
     parse_prefix,
     parse_sequence,
+    precritical_key,
     validate_kneading,
 )
 from .treebuild import build_tree, markov_data, sigma_closure
@@ -111,7 +113,9 @@ def cmd_path(args) -> str:
             rows.append({
                 "kind": pt.kind,
                 "depth": pt.depth,
-                "itinerary": format_sequence(pt.seq),
+                # printed from its key, a point w*nu is never interned
+                "itinerary": (format_sequence(pt.seq) if pt.word is None
+                              else format_key(*precritical_key(pt.word, kn))),
                 "label": None if pt.label is None else str(pt.label),
             })
         doc = {

@@ -8,8 +8,10 @@ those are closed by a pair of Fatou intervals around the gap's central
 itinerary.  Dyadic labels follow the midpoint rule exactly.
 
 Every point but ``nu`` is ``w*nu`` for a wildcard-free word ``w``, so the
-construction carries words: one scan of a pair gives its ``diff`` and the
-new point's word, whose depth is ``len(w) + 1``.
+construction carries words: the split of a pair gives its ``diff`` and the
+new point's word, whose depth is ``len(w) + 1``.  A split scans only the
+older point's tail, a shift of nu, against ``*nu``, once per distinct
+shift in one construction.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from typing import List, Optional, Tuple
 
 from .errors import (DepthBudgetExceeded, NotStarPeriodic,
                      TrivialKneadingSequence)
-from .symbolic import (EPSeq, INF, KneadingSequence, STAR, format_sequence,
-                       precritical)
+from .symbolic import (EPSeq, INF, KneadingSequence, STAR, format_key,
+                       format_sequence, precritical)
 
 # the most points P_n may hold: all of stage 18 of a gap-free sequence, whose
-# `htree path` output takes up to about 9 s and 350 MB on a 2-vCPU machine
+# `htree path` output takes about 3.5 s and 155 MB as text, and 4 s and 255 MB
+# as JSON, on a 2-vCPU machine
 MAX_PATH_POINTS = 2 ** 17 + 1
 
 
@@ -111,28 +114,45 @@ def _split(x: Tuple, y: Tuple, bound: int):
 
 class _Words:
     """The points ``w*nu`` of one kneading sequence, each given by its
-    word ``w``; the word None stands for ``nu`` itself."""
+    word ``w`` (None for ``nu`` itself), and the splits of the tails
+    scanned so far, kept as long as this object: one construction."""
 
     def __init__(self, nu: KneadingSequence):
         self.seq = s = nu.seq
-        # the letters of w*nu after w: the wildcard, then nu's letters,
-        # extended by whole periods as the words grow
-        self.suffix = (STAR,) + s.pre + (s.per or ())
+        self.reach = 1 + len(s.pre) + len(s.per or ())
+        self.crit = (STAR,) + s.letters(self.reach)  # a prefix nu may end sooner
+        self.tails = {}
 
-    def split(self, wa, wb):
-        """:func:`_split` of ``w_a*nu`` and ``w_b*nu``.  For exact nu both
-        repeat with nu's period past position max(|w_a|, |w_b|) + 1 + |pre|,
-        so one more period settles ``diff``; for a prefix nu the scan stops
-        at the shorter side, the window of ``diff_within``."""
-        s = self.seq
-        if s.exact:
-            bound = max(len(wa or ()), len(wb or ())) + 1 + len(s.pre) + len(s.per)
-            while len(self.suffix) <= bound:
-                self.suffix += s.per
-        suffix = self.suffix
-        x = suffix[1:] if wa is None else wa + suffix
-        y = suffix[1:] if wb is None else wb + suffix
-        return _split(x, y, bound if s.exact else min(len(x), len(y)))
+    def split(self, wa, wb) -> Tuple:
+        """:func:`_split` of ``w_a*nu`` and ``w_b*nu``, in either order,
+        where the newer point was inserted beside the older one.
+
+        Let ``c = w*nu`` be inserted between a and b, with ``k = diff(a,
+        b) = |w| + 1``.  Before position k, c reads w, the letters forced
+        there; from k on it reads ``*nu``.  So the split of ``(a, c)`` or
+        ``(c, b)`` is ``k = |w| + k'`` with the letters ``w + m'``, for
+        ``(k', m')`` the split of the older point's tail from position
+        ``|w|`` against ``*nu`` (merging is symmetric, so its side does not
+        matter).  As ``*nu`` begins with the wildcard, ``k' >= 2``: by
+        induction from ``(*nu, nu)``, the newer point is the deeper one, and
+        the tail is ``sigma^m nu`` with ``m = |w| - |w_old| - 1`` (``|w_old|
+        = -1`` for nu).  So each distinct m is scanned once, to a bound
+        that depends on m alone: for exact nu both sides repeat with nu's
+        period past ``1 + |pre|``, so one more period settles it; for a
+        prefix nu the scan stops at the shorter side, as ``diff_within``.
+        """
+        if wb is not None and (wa is None or len(wa) < len(wb)):
+            wa, wb = wb, wa  # wa is the newer point
+        d = len(wa)
+        m = d if wb is None else d - len(wb) - 1
+        hit = self.tails.get(m)
+        if hit is None:
+            assert m >= 0, "adjacent path points differ in depth"
+            tail = self.seq.letters(m + self.reach)[m:]
+            hit = self.tails[m] = _split(
+                tail, self.crit, self.reach if self.seq.exact else len(tail))
+        k, letters = hit
+        return (k if k is INF else d + k), wa + letters
 
     def central(self, letters: Tuple) -> EPSeq:
         """The central itinerary of an exact gap pair from the letters of
@@ -151,6 +171,10 @@ def build_pn(nu: KneadingSequence, n: int) -> CriticalPath:
     |P_{n+1}| = 2|P_n| - 1 - #gaps(P_n); a gap pair stays adjacent at
     every later stage.  A stage past MAX_PATH_POINTS points raises
     DepthBudgetExceeded before it is complete.
+
+    All splits share one table of tails (:meth:`_Words.split`): at
+    ``(10*)`` stage 12 the 4,095 splits make 12 scans, and a gap pair is
+    answered from the table at every later stage and in the gap pass.
 
     Only a star-periodic nu has gaps; a truncation certifies none, and a
     wildcard-free exact nu is not purely periodic (validate_kneading), two
@@ -350,7 +374,7 @@ def path_table(path: CriticalPath) -> str:
         if pt.kind == "critical-value":
             word = "-"
         elif pt.depth is not None:
-            word = "".join(map(str, pt.word)) or "e"  # words carry no wildcard
+            word = format_key(pt.word, None, pt.nu.degree) if pt.word else "e"
         else:
             word = format_sequence(pt.seq)
         depth = str(pt.depth) if pt.depth is not None else "-"

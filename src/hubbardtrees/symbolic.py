@@ -379,8 +379,9 @@ def kneading(text: str, degree=2) -> KneadingSequence:
     return validate_kneading(parse_sequence(text, degree))
 
 
-def precritical(w: Iterable[Symbol], nu: KneadingSequence) -> EPSeq:
-    """The precritical point ``w * nu`` (depth ``len(w) + 1``).
+def precritical_key(w: Iterable[Symbol], nu: KneadingSequence) -> Tuple:
+    """The canonical key ``(pre, per, degree)`` of the precritical point
+    ``w * nu`` (depth ``len(w) + 1``), without interning it.
 
     Only w is checked.  nu's letters were checked, and its period made
     primitive and canonical, when its sequence was built.  So if nu has
@@ -399,7 +400,13 @@ def precritical(w: Iterable[Symbol], nu: KneadingSequence) -> EPSeq:
     if per is not None and not s.pre:
         while pre and pre[-1] == per[-1]:
             pre, per = pre[:-1], per[-1:] + per[:-1]
-    key = (pre, per, degree)
+    return pre, per, degree
+
+
+def precritical(w: Iterable[Symbol], nu: KneadingSequence) -> EPSeq:
+    """The precritical point ``w * nu``, interned under
+    :func:`precritical_key`."""
+    key = precritical_key(w, nu)
     return EPSeq._intern.get(key) or EPSeq._store(key)
 
 
@@ -581,20 +588,23 @@ def parse_prefix(text: str, degree=2) -> EPSeq:
     return EPSeq(word, None, degree)
 
 
-def _fmt_sym(sym: Symbol) -> str:
-    return "*" if sym is STAR else str(sym)
+def format_key(pre: Word, per: Optional[Word], degree) -> str:
+    """The sequence with key ``(pre, per, degree)`` as printed (the
+    wildcard's str is ``*``); a word of letters prints as the truncation
+    with those letters."""
+    compact = degree <= 10  # checked letters are then single digits
+    if per is None:
+        if compact and STAR not in pre:
+            return "".join(map(str, pre))
+        return "[" + ",".join(map(str, pre)) + "]"
+    if compact:
+        return "".join(map(str, pre)) + "(" + "".join(map(str, per)) + ")"
+    return ("[" + ",".join(map(str, pre)) + "|"
+            + ",".join(map(str, per)) + "]")
 
 
 def format_sequence(s: EPSeq) -> str:
-    compact = s.degree <= 10  # checked letters are then single digits
-    if not s.exact:
-        if compact and STAR not in s.pre:
-            return "".join(map(_fmt_sym, s.pre))
-        return "[" + ",".join(map(_fmt_sym, s.pre)) + "]"
-    if compact:
-        return "".join(map(_fmt_sym, s.pre)) + "(" + "".join(map(_fmt_sym, s.per)) + ")"
-    return ("[" + ",".join(map(_fmt_sym, s.pre)) + "|"
-            + ",".join(map(_fmt_sym, s.per)) + "]")
+    return format_key(s.pre, s.per, s.degree)
 
 
 def parse_degree(text: str):

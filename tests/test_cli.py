@@ -65,8 +65,9 @@ PATH_GOLDEN = {
     ("--degree", "3", "--nu", "(12*)"): (
         "6026609f6f392f2a185cdfef366bfca814d82ead991f0db58e160587c5d58e4b",
         "34cd2a3ca71ca5ba808823915701685cdbeb73fe41c3858a7c1993c8ee23ac7d"),
+    # the word column in brackets, as sequences over degree 10 print
     ("--degree", "inf", "--nu", "[|1,5,*]"): (
-        "64ad9d14f0903fc0d5d6c95bd87b23f681ad9c62993f4c1e56030ca2d170f119",
+        "d1e6f65ba4e1e5f87e80c833cefd8c52978ba3fbe1d61a6dc26d2f16226c28b9",
         "649432a3612e9f57e2de6fa9d6f416e0dc1ca6febe3823aba7882bf786635212"),
     ("--nu", "(1*)"): (
         "03c60f1e79d22a2afa53dc4326cb2955a2e63307514d4148e4ea72e20740b8da",
@@ -92,6 +93,28 @@ def test_path_output_is_byte_identical_to_golden(args, capsys):
         assert main(["path", *args, "--format", fmt]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == want, (args, fmt)
+
+
+def test_json_path_builds_no_sequence_per_point(capsys):
+    from hubbardtrees.symbolic import EPSeq
+
+    before = len(EPSeq._intern)
+    assert main(["path", "--nu", "(10*)", "--depth", "12", "--format", "json"]) == 0
+    assert len(EPSeq._intern) - before < 64
+    assert len(json.loads(capsys.readouterr().out)["points"]) > 2000
+
+
+def test_path_words_print_as_sequences_of_their_degree(capsys):
+    from hubbardtrees.symbolic import INF, format_key
+
+    assert format_key((1, 12), None, INF) == "[1,12]"
+    assert format_key((11, 2), None, INF) == "[11,2]"
+    assert format_key((1, 1, 2), None, 3) == "112"
+    assert main(["path", "--degree", "inf", "--nu", "[|1,12,*]",
+                 "--depth", "4"]) == 0
+    words = [ln.split()[3] for ln in capsys.readouterr().out.splitlines()[2:]]
+    assert words[:3] == ["e", "[1,1,12,1]", "[1,1]"]
+    assert "[1,12,1]" in words and "1121" not in words
 
 
 def test_path_point_budget_exits_3(monkeypatch, capsys):
@@ -136,12 +159,13 @@ TRUNCATED_GOLDEN = {
         "ebaa2efd2a3d65663c26723219b2647c18127b097ba2afb5d65d1dfc7e89ff42",
         "79c7165abeb95e2e7f7ea7061cca902025ed62420b04410833f1a48a5cd8785f"),
     # relabelled to [1,2,3,1,2,4,1,2] (test_normalize_applies_to_prefix),
-    # and printed in brackets like every sequence over degree inf
+    # and printed in brackets like every sequence over degree inf, the
+    # path's word column too
     ("--degree", "inf", "--normalize", "--prefix", "--nu", "[1,5,-2,1,5,3,1,5]"): (
         "e0277f23838159de1dca4be70e7241562e27ce1ccc4a6ae8f10b6eabc5561225",
         "6663291a9b4eeb796c1f9c73c326e7f3a460cd03bfa7187de457ebd722892068",
         "2df76979f496d09f1f8e137a38547b139aa9bf8ab6f2e898f3954c5eebbc7c71",
-        "6044416ebba5980e9ea8c742d6442851c2248d97ca4dbc2b1c3530843cb83b95"),
+        "80cf05959dafc2e9da687d052ad09a73e5227490b9f1561eee80d939177554a3"),
     ("--gen", "staircase", "--depth", "8"): (
         "d5951049eb9bc4b06fd00931dc99b3ef4066130369de2dad50385587bafaf60d",
         "e2fcaa253871b75ea1454402ff1a88a8c02a0c39fd9cb19e180a2bba3f71d966",

@@ -497,3 +497,134 @@ def test_path_points_compare_by_value():
         pt.seq  # reading seq leaves equality and hash alone
     assert a == b and list(map(hash, a)) == list(map(hash, b))
     assert a[0] != build_pn(kneading("(10*)"), 6).points[0]  # *nu of another nu
+
+
+# -- the tail split, against the whole-word split it replaced ---------------------
+#
+# _Words.split scans only the older point's tail, a shift of nu, against *nu,
+# once per distinct shift.  This is the split it replaced: both points laid
+# out in full, one scan of the pair.
+
+
+class _WholeWords:
+    def __init__(self, nu):
+        self.seq = s = nu.seq
+        self.suffix = (STAR,) + s.pre + (s.per or ())
+
+    def split(self, wa, wb):
+        s = self.seq
+        if s.exact:
+            bound = max(len(wa or ()), len(wb or ())) + 1 + len(s.pre) + len(s.per)
+            while len(self.suffix) <= bound:
+                self.suffix += s.per
+        suffix = self.suffix
+        x = suffix[1:] if wa is None else wa + suffix
+        y = suffix[1:] if wb is None else wb + suffix
+        return critpath._split(x, y, bound if s.exact else min(len(x), len(y)))
+
+
+def _whole_word_pn(nu, n):
+    """(word, label numerator over 2^(n-1)) per point of P_n and (left,
+    right, central) per gap, every pair scanned in full at every stage."""
+    words = _WholeWords(nu)
+    points = [((), 0), (None, 1 << (n - 1))]
+    for _ in range(n - 1):
+        nxt = [points[0]]
+        for (wa, la), (wb, lb) in zip(points, points[1:]):
+            k, w = words.split(wa, wb)
+            if k is not INF:
+                nxt.append((w, (la + lb) >> 1))
+            nxt.append((wb, lb))
+        points = nxt
+    gaps = []
+    if nu.star_periodic:
+        p = nu.period
+        for (wa, _), (wb, _) in zip(points, points[1:]):
+            k, letters = words.split(wa, wb)
+            if k is INF:
+                gaps.append((precritical(wa, nu),
+                             nu.seq if wb is None else precritical(wb, nu),
+                             EPSeq(letters[:-p], letters[-p:], nu.degree)))
+    return points, gaps
+
+
+def _whole_word_chains(nu):
+    """nu_chain's (words, central) and the words of alpha_point's rho
+    chain (12 long)."""
+    words = _WholeWords(nu)
+    chain = None
+    if nu.star_periodic:
+        p, ws, central = nu.period, [()], None
+        while True:
+            k, w = words.split(ws[-1], None)
+            if k is INF:
+                central = EPSeq(w[:-p], w[-p:], nu.degree)
+                break
+            if len(ws[-1]) >= 4 * p:
+                break
+            ws.append(w)
+        chain = ws, central
+    rho = [None, ()]
+    while len(rho) < 12:
+        k, w = words.split(rho[-1], rho[-2])
+        if k is INF:
+            break
+        rho.append(w)
+    return chain, rho
+
+
+def _tail_split_inputs():
+    yield from star_periodic_sequences(9)
+    yield from _eventually_periodic(2, 4, 4)
+    for bits in itertools.islice(itertools.product("01", repeat=9), 0, None, 4):
+        yield validate_kneading(parse_prefix("1" + "".join(bits)))
+    for n in range(1, 5):
+        for k in range(3 ** n - 1):
+            yield angle_to_kneading(Fraction(k, 3 ** n - 1), 3)
+    for text in ["[|1,5,*]", "[|1,2,*]", "[|1,0,*]", "[|1,3,0,*]",
+                 "[|1,-2,4,*]", "[|1,1,2,*]", "[|1,12,11,*]", "[1,7|3,2]",
+                 "[1|0]", "[1,2|5]"]:
+        yield kneading(text, INF)
+    for name in ("staircase", "feigenbaum"):
+        for depth in (8, 12, 16, 24):
+            yield make(name, depth=depth)
+
+
+def test_tail_split_matches_whole_word_split():
+    seen = gapped = 0
+    for kn in _tail_split_inputs():
+        if kn.trivial:
+            continue
+        seen += 1
+        path = build_pn(kn, 10)
+        points, gaps = _whole_word_pn(kn, 10)
+        got = [(pt.word, pt.label.numerator * (512 // pt.label.denominator))
+               for pt in path.points]
+        assert got == points, str(kn)
+        assert [(g.left, g.right, g.central) for g in path.gaps] == gaps, str(kn)
+        gapped += bool(gaps)
+        chain, rho = _whole_word_chains(kn)
+        if chain is not None:
+            assert critpath.nu_chain(kn) == chain, str(kn)
+        witness = alpha_point(kn)
+        if witness.kind == "rho-chain":
+            want = [kn.seq if w is None else precritical(w, kn) for w in rho]
+            assert list(witness.chain) == want, str(kn)
+    assert (seen, gapped) == (674, 67)
+
+
+def test_tail_split_scans_each_tail_once(monkeypatch):
+    scans = []
+
+    def counting(*args):
+        scans.append(args)
+        return split(*args)
+
+    split = critpath._split
+    monkeypatch.setattr(critpath, "_split", counting)
+    assert len(build_pn(kneading("(10*)"), 12).points) == 2049
+    assert len(scans) < 64  # the whole-word split scanned 4,095 pairs
+    scans.clear()
+    path = build_pn(kneading("(10010*)"), 12)
+    assert (len(path.points), len(path.gaps)) == (377, 143)
+    assert len(scans) < 64
