@@ -11,7 +11,9 @@ Every point but ``nu`` is ``w*nu`` for a wildcard-free word ``w``, so the
 construction carries words: the split of a pair gives its ``diff`` and the
 new point's word, whose depth is ``len(w) + 1``.  A split scans only the
 older point's tail, a shift of nu, against ``*nu``, once per distinct
-shift in one construction.
+shift in one construction.  :func:`build_critical_path` then walks the
+pairs of P_n once, placing each gap's central point and Fatou intervals
+beside the pair, so the path's markers follow from each point's position.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ class PathPoint:
     ``central`` (a gap's central itinerary), ``limit`` (the lower sequence
     adjacent to ``nu``).  ``label`` is the exact dyadic parameter, or None
     for limit points squeezed in without one.  ``word`` is the ``w`` of a
-    point ``w*nu`` of depth ``len(w) + 1`` (empty for ``*nu``), and None
-    with the depth for the other kinds.
+    point ``w*nu`` (empty for ``*nu``), and None for the other kinds.
 
     A point ``w*nu`` keeps only its word and ``nu``, and becomes a
     sequence only when its ``seq`` is read; every other point keeps its
@@ -50,10 +51,14 @@ class PathPoint:
 
     kind: str
     label: Optional[Fraction]
-    depth: Optional[int] = None
     word: Optional[Tuple] = None
     nu: Optional[KneadingSequence] = field(default=None, repr=False)
     itinerary: Optional[EPSeq] = None
+
+    @property
+    def depth(self) -> Optional[int]:
+        """The position of the first wildcard of ``w*nu``."""
+        return None if self.word is None else len(self.word) + 1
 
     @cached_property
     def seq(self) -> EPSeq:
@@ -83,7 +88,6 @@ class CriticalPath:
     points: List[PathPoint]
     gaps: List[Gap]
     fatou: List[FatouInterval] = field(default_factory=list)
-    depth_built: int = 1
 
 
 def _require_nontrivial(nu: KneadingSequence) -> None:
@@ -162,8 +166,8 @@ class _Words:
         return EPSeq(letters[:-p], letters[-p:], s.degree)
 
 
-def build_pn(nu: KneadingSequence, n: int) -> CriticalPath:
-    """The ordered set P_n of precritical points, with gaps recorded.
+def build_critical_path(nu: KneadingSequence, n: int) -> CriticalPath:
+    """P_n plus Fatou structure, in path order.
 
     P_1 = {*nu < nu} with labels 0 and 1; each stage inserts the midpoint
     point between every adjacent non-gap pair.  Hence |P_n| = 2^(n-1)+1
@@ -174,13 +178,22 @@ def build_pn(nu: KneadingSequence, n: int) -> CriticalPath:
 
     All splits share one table of tails (:meth:`_Words.split`): at
     ``(10*)`` stage 12 the 4,095 splits make 12 scans, and a gap pair is
-    answered from the table at every later stage and in the gap pass.
+    answered from the table at every later stage and in the final pass.
 
     Only a star-periodic nu has gaps; a truncation certifies none, and a
     wildcard-free exact nu is not purely periodic (validate_kneading), two
     words of equal length differ at a letter, and ``diff(w_a*nu, w_b*nu)
     = INF`` with ``|w_a| < |w_b|`` would give ``nu[i + |w_b| - |w_a|] =
     nu[i]`` for all ``i >= 0``; ``(nu, w*nu)`` likewise, shifted ``|w| + 1``.
+
+    The final pass walks the pairs of P_n once and places each gap's
+    central point, labelled by the midpoint rule, between the pair, with
+    its two Fatou intervals.  For star-periodic nu the limit point omega
+    goes just before nu, with the interval [omega, nu], unless omega is
+    one of the centrals.  If the last pair of P_n is a gap ``(x, nu)``, its
+    central is ``lower_sequence(nu)``, so a limit point never separates nu
+    from a central and :func:`path_table` reads each point's markers off
+    its neighbours.  Non-periodic sequences have no Fatou intervals.
     """
     _require_nontrivial(nu)
     if n < 1:
@@ -202,19 +215,40 @@ def build_pn(nu: KneadingSequence, n: int) -> CriticalPath:
             nxt.append(b)
         points = nxt
 
-    last = len(points) - 1
-    out = [PathPoint("critical-point", Fraction(0), depth=1, word=(), nu=nu)]
-    for w, num in points[1:last]:
-        out.append(PathPoint("precritical", Fraction(num, scale), len(w) + 1, w, nu))
-    out.append(PathPoint("critical-value", Fraction(1), itinerary=nu.seq))
-
-    gaps = []
-    if nu.star_periodic:
-        for i in range(last):
-            k, letters = words.split(points[i][0], points[i + 1][0])
+    path = CriticalPath(nu, [PathPoint("critical-point", Fraction(0), (), nu)], [])
+    out = path.points
+    for (wa, la), (wb, lb) in zip(points, points[1:]):
+        if wb is None:
+            b = PathPoint("critical-value", Fraction(1), itinerary=nu.seq)
+        else:
+            b = PathPoint("precritical", Fraction(lb, scale), wb, nu)
+        if nu.star_periodic:
+            k, letters = words.split(wa, wb)
             if k is INF:
-                gaps.append(Gap(out[i].seq, out[i + 1].seq, words.central(letters)))
-    return CriticalPath(nu=nu, points=out, gaps=gaps, depth_built=n)
+                left, central = out[-1].seq, words.central(letters)
+                path.gaps.append(Gap(left, b.seq, central))
+                out.append(PathPoint("central", Fraction(la + lb, 2 * scale),
+                                     itinerary=central))
+                path.fatou += (FatouInterval(left, central),
+                               FatouInterval(central, b.seq))
+        out.append(b)
+
+    if nu.star_periodic:
+        omega = lower_sequence(nu)
+        if all(g.central is not omega for g in path.gaps):
+            out.insert(len(out) - 1, PathPoint("limit", None, itinerary=omega))
+            path.fatou.append(FatouInterval(omega, nu.seq))
+    return path
+
+
+def build_pn(nu: KneadingSequence, n: int) -> CriticalPath:
+    """The ordered set P_n of precritical points, with gaps recorded: the
+    path of :func:`build_critical_path` without its central and limit
+    points and its Fatou intervals."""
+    path = build_critical_path(nu, n)
+    path.points = [pt for pt in path.points if pt.kind not in ("central", "limit")]
+    path.fatou = []
+    return path
 
 
 def nu_chain(nu: KneadingSequence) -> Tuple[List[Tuple], Optional[EPSeq]]:
@@ -266,54 +300,6 @@ def lower_sequence(nu: KneadingSequence) -> EPSeq:
     return EPSeq((), word, nu.degree)
 
 
-def _seq_key(s: EPSeq):
-    """What a point is matched on without building it as a sequence: a
-    point with a wildcard is ``w*nu`` (nu too, when star-periodic) and is
-    named by w, its letters before the first wildcard; any other point is
-    named by itself."""
-    d = s.star_depth()
-    return s if d is None else s.letters(d - 1)
-
-
-def _point_key(pt: PathPoint):
-    return pt.word if pt.word is not None else _seq_key(pt.seq)
-
-
-def build_critical_path(nu: KneadingSequence, n: int) -> CriticalPath:
-    """P_n plus Fatou structure: two Fatou intervals around every gap's
-    central itinerary, and for star-periodic nu the interval [omega, nu].
-    Non-periodic sequences have no Fatou intervals.
-    """
-    path = build_pn(nu, n)
-    if not nu.star_periodic:
-        return path
-
-    # a gap pair is adjacent, so its left side names it
-    by_left = {_seq_key(g.left): g for g in path.gaps}
-    points = []
-    for cur, nxt in zip(path.points, path.points[1:]):
-        points.append(cur)
-        g = by_left.get(_point_key(cur))
-        if g is not None:
-            label = None
-            if cur.label is not None and nxt.label is not None:
-                label = (cur.label + nxt.label) / 2
-            points.append(PathPoint("central", label, itinerary=g.central))
-            path.fatou.append(FatouInterval(g.left, g.central))
-            path.fatou.append(FatouInterval(g.central, g.right))
-    points.append(path.points[-1])
-
-    # omega has no wildcard and every point w*nu carries one, so only the
-    # other points can be omega
-    omega = lower_sequence(nu)
-    if all(pt.word is not None or pt.seq != omega for pt in points):
-        points.insert(len(points) - 1, PathPoint("limit", None, itinerary=omega))
-        path.fatou.append(FatouInterval(omega, nu.seq))
-
-    path.points = points
-    return path
-
-
 @dataclass(frozen=True)
 class AlphaWitness:
     alpha: EPSeq
@@ -349,36 +335,34 @@ def alpha_point(nu: KneadingSequence, chain_length: int = 12) -> AlphaWitness:
 # text table export
 
 
-def _fmt_label(label: Optional[Fraction]) -> str:
-    if label is None:
-        return "-"
-    return f"{label.numerator}/{label.denominator}"
-
-
 def path_table(path: CriticalPath) -> str:
     """One row per point in path order: kind, depth, word w, dyadic label,
-    gap/Fatou markers.  Column order fixed."""
-    fatou_ends = {_seq_key(s) for iv in path.fatou for s in (iv.a, iv.b)}
-    gap_sides = {_seq_key(s) for g in path.gaps for s in (g.left, g.right)}
+    gap/Fatou markers.  Column order fixed.
 
+    The markers follow from the order of :func:`build_critical_path`: the
+    sides of a central point are gap boundaries, and the central point,
+    its sides, the limit point and the nu after it are Fatou ends."""
+    kinds = [None] + [pt.kind for pt in path.points] + [None]
+    degree = path.nu.degree
     rows = [("#", "kind", "depth", "word", "label", "markers")]
     for i, pt in enumerate(path.points, start=1):
-        key = _point_key(pt)
+        side = "central" in (kinds[i - 1], kinds[i + 1])
         markers = []
         if pt.kind == "central":
             markers.append("gap-central")
-        elif key in gap_sides:
+        elif side:
             markers.append("gap-boundary")
-        if key in fatou_ends:
+        if side or pt.kind in ("central", "limit") or kinds[i - 1] == "limit":
             markers.append("fatou")
         if pt.kind == "critical-value":
             word = "-"
-        elif pt.depth is not None:
-            word = format_key(pt.word, None, pt.nu.degree) if pt.word else "e"
+        elif pt.word is not None:
+            word = format_key(pt.word, None, degree) if pt.word else "e"
         else:
             word = format_sequence(pt.seq)
-        depth = str(pt.depth) if pt.depth is not None else "-"
-        rows.append((str(i), pt.kind, depth, word, _fmt_label(pt.label),
+        depth, label = pt.depth, pt.label
+        rows.append((str(i), pt.kind, "-" if depth is None else str(depth), word,
+                     "-" if label is None else f"{label.numerator}/{label.denominator}",
                      ",".join(markers)))
 
     # each column left-justified to its widest cell

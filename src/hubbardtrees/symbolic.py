@@ -141,14 +141,6 @@ class EPSeq:
 
     # -- basic protocol ----------------------------------------------------
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, EPSeq):
-            return NotImplemented
-        return (self.pre, self.per, self.degree) == (other.pre, other.per,
-                                                     other.degree)
-
     def __hash__(self):
         return self._hash
 

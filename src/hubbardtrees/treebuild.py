@@ -356,12 +356,6 @@ class HubbardTree:
                "branch": "pendant", "at": "pendant"}[kind]
         return v, how
 
-    def locate(self, p: EPSeq) -> str:
-        """'vertex', 'interior', or 'off' without mutating the tree."""
-        kind, _ = self._walk(p)
-        return {"existing": "vertex", "interior": "interior",
-                "branch": "off", "at": "off"}[kind]
-
     # -- vertex kinds ----------------------------------------------------------
 
     def kind_of(self, v: EPSeq, fatou_ends: set) -> str:
@@ -443,7 +437,8 @@ def build_tree(kneading: KneadingSequence, n: Optional[int] = None, *,
                 break
             k += 1
         else:
-            if n is not None and tree.locate(seq.shift(n + 1)) != "off":
+            if n is not None and (tree._walk(seq.shift(n + 1))[0]
+                                  in ("existing", "interior")):
                 tree.mode = ("finite", None)
             else:
                 tree.mode = ("truncated", cap)

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -28,6 +30,7 @@ from hubbardtrees.symbolic import (
     STAR,
     angle_to_kneading,
     diff,
+    format_key,
     format_sequence,
     kneading,
     parse_prefix,
@@ -628,3 +631,188 @@ def test_tail_split_scans_each_tail_once(monkeypatch):
     path = build_pn(kneading("(10010*)"), 12)
     assert (len(path.points), len(path.gaps)) == (377, 143)
     assert len(scans) < 64
+
+
+# -- the one-pass path, against the key-matching passes it replaced ----------------
+#
+# build_critical_path walks the pairs of P_n once, placing each gap's central
+# point and Fatou intervals beside the pair, and path_table reads its markers
+# off the neighbours' kinds.  This is what it replaced: P_n built with its
+# gaps first, then each gap found again by its left point's key, and the
+# table's markers looked up in two key sets.
+
+
+@dataclass(frozen=True)
+class _KeyedPoint:
+    kind: str
+    label: object
+    depth: object = None
+    word: object = None
+    nu: object = field(default=None, repr=False)
+    itinerary: object = None
+
+    @cached_property
+    def seq(self):
+        if self.word is None:
+            return self.itinerary
+        return precritical(self.word, self.nu)
+
+
+def _keyed_pn(nu, n):
+    words = critpath._Words(nu)
+    scale = 1 << (n - 1)
+    points = [((), 0), (None, scale)]
+    for _ in range(2, n + 1):
+        nxt = [points[0]]
+        for (wa, la), b in zip(points, points[1:]):
+            k, w = words.split(wa, b[0])
+            if k is not INF:
+                nxt.append((w, (la + b[1]) >> 1))
+            nxt.append(b)
+        points = nxt
+
+    last = len(points) - 1
+    out = [_KeyedPoint("critical-point", Fraction(0), depth=1, word=(), nu=nu)]
+    for w, num in points[1:last]:
+        out.append(_KeyedPoint("precritical", Fraction(num, scale), len(w) + 1, w, nu))
+    out.append(_KeyedPoint("critical-value", Fraction(1), itinerary=nu.seq))
+
+    gaps = []
+    if nu.star_periodic:
+        for i in range(last):
+            k, letters = words.split(points[i][0], points[i + 1][0])
+            if k is INF:
+                gaps.append(critpath.Gap(out[i].seq, out[i + 1].seq,
+                                         words.central(letters)))
+    return critpath.CriticalPath(nu=nu, points=out, gaps=gaps)
+
+
+def _seq_key(s):
+    d = s.star_depth()
+    return s if d is None else s.letters(d - 1)
+
+
+def _point_key(pt):
+    return pt.word if pt.word is not None else _seq_key(pt.seq)
+
+
+def _keyed_critical_path(nu, n):
+    path = _keyed_pn(nu, n)
+    if not nu.star_periodic:
+        return path
+
+    by_left = {_seq_key(g.left): g for g in path.gaps}
+    points = []
+    for cur, nxt in zip(path.points, path.points[1:]):
+        points.append(cur)
+        g = by_left.get(_point_key(cur))
+        if g is not None:
+            label = None
+            if cur.label is not None and nxt.label is not None:
+                label = (cur.label + nxt.label) / 2
+            points.append(_KeyedPoint("central", label, itinerary=g.central))
+            path.fatou.append(critpath.FatouInterval(g.left, g.central))
+            path.fatou.append(critpath.FatouInterval(g.central, g.right))
+    points.append(path.points[-1])
+
+    omega = lower_sequence(nu)
+    if all(pt.word is not None or pt.seq != omega for pt in points):
+        points.insert(len(points) - 1, _KeyedPoint("limit", None, itinerary=omega))
+        path.fatou.append(critpath.FatouInterval(omega, nu.seq))
+
+    path.points = points
+    return path
+
+
+def _fmt_label(label):
+    if label is None:
+        return "-"
+    return f"{label.numerator}/{label.denominator}"
+
+
+def _keyed_path_table(path):
+    fatou_ends = {_seq_key(s) for iv in path.fatou for s in (iv.a, iv.b)}
+    gap_sides = {_seq_key(s) for g in path.gaps for s in (g.left, g.right)}
+
+    rows = [("#", "kind", "depth", "word", "label", "markers")]
+    for i, pt in enumerate(path.points, start=1):
+        key = _point_key(pt)
+        markers = []
+        if pt.kind == "central":
+            markers.append("gap-central")
+        elif key in gap_sides:
+            markers.append("gap-boundary")
+        if key in fatou_ends:
+            markers.append("fatou")
+        if pt.kind == "critical-value":
+            word = "-"
+        elif pt.depth is not None:
+            word = format_key(pt.word, None, pt.nu.degree) if pt.word else "e"
+        else:
+            word = format_sequence(pt.seq)
+        depth = str(pt.depth) if pt.depth is not None else "-"
+        rows.append((str(i), pt.kind, depth, word, _fmt_label(pt.label),
+                     ",".join(markers)))
+
+    line = "  ".join(f"{{:<{max(map(len, col))}}}" for col in zip(*rows))
+    return "".join(line.format(*r).rstrip() + "\n" for r in rows)
+
+
+def _one_pass_inputs():
+    """(kneading sequence, stages) pairs."""
+    for kn in star_periodic_sequences(9):
+        yield kn, range(1, 11 if kn.period <= 6 else 9)
+    rest = list(star_periodic_sequences(6, degree=3))
+    for text in ["[|1,5,*]", "[|1,2,*]", "[|1,0,*]", "[|1,3,0,*]", "[|1,-2,4,*]",
+                 "[|1,1,2,*]", "[|1,12,11,*]", "[|1,1,1,*]", "[1,7|3,2]", "[1|0]"]:
+        rest.append(kneading(text, INF))
+    rest += _eventually_periodic(2, 3, 3)
+    for bits in itertools.product("01", repeat=6):
+        rest.append(validate_kneading(parse_prefix("1" + "".join(bits))))
+    for name, params in [("staircase", ""), ("feigenbaum", ""),
+                         ("address", "1,2,4"), ("prefix", "110100")]:
+        rest += [make(name, depth=d, params=params) for d in (8, 16)]
+    for kn in rest:
+        yield kn, (1, 3, 6)
+
+
+def test_one_pass_path_matches_key_matching_passes():
+    def points(path):  # a point w*nu is its word: itinerary is None
+        return [(pt.kind, pt.label, pt.depth, pt.word, pt.itinerary)
+                for pt in path.points]
+
+    seen = gapped = limited = 0
+    for kn, stages in _one_pass_inputs():
+        if kn.trivial:
+            continue
+        for n in stages:
+            seen += 1
+            path, ref = build_critical_path(kn, n), _keyed_critical_path(kn, n)
+            assert points(path) == points(ref), (str(kn), n)
+            assert path.gaps == ref.gaps, (str(kn), n)
+            assert path.fatou == ref.fatou, (str(kn), n)
+            assert path_table(path) == _keyed_path_table(ref), (str(kn), n)
+            gapped += bool(ref.gaps)
+            limited += any(pt.kind == "limit" for pt in ref.points)
+    assert (seen, gapped, limited) == (2816, 195, 2300)
+
+
+def test_gap_at_nu_has_central_omega():
+    # build_critical_path marks points by position; that needs the gap at
+    # nu, at any stage, to have omega as its central.  The refinement of
+    # the last pair splits (w*nu, nu) from sigma^|w| nu, so it depends on
+    # |w| mod p alone and finds the gap within p + 1 steps or never.
+    kns = [*star_periodic_sequences(12), *star_periodic_sequences(7, degree=3),
+           *star_periodic_sequences(5, degree=4)]
+    at_nu = 0
+    for kn in kns:
+        words = critpath._Words(kn)
+        w = ()
+        for _ in range(kn.period + 1):
+            k, letters = words.split(w, None)
+            if k is INF:
+                at_nu += 1
+                assert words.central(letters) is lower_sequence(kn), str(kn)
+                break
+            w = letters
+    assert (len(kns), at_nu) == (2496, 77)
