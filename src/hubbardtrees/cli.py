@@ -109,14 +109,15 @@ def cmd_path(args) -> str:
         import json
 
         rows = []
-        for pt in path.points:
+        for kind, num, w, _, itinerary in path.rows:
+            p, q = path.ratio(kind, num) or (None, 1)
             rows.append({
-                "kind": pt.kind,
-                "depth": pt.depth,
+                "kind": kind,
+                "depth": None if w is None else len(w) + 1,
                 # printed from its key, a point w*nu is never interned
-                "itinerary": (format_sequence(pt.seq) if pt.word is None
-                              else format_key(*precritical_key(pt.word, kn))),
-                "label": None if pt.label is None else str(pt.label),
+                "itinerary": (format_sequence(itinerary) if w is None
+                              else format_key(*precritical_key(w, kn))),
+                "label": None if p is None else f"{p}/{q}" if q > 1 else str(p),
             })
         doc = {
             "nu": str(kn),
@@ -128,7 +129,7 @@ def cmd_path(args) -> str:
                       for f in path.fatou],
         }
         return json.dumps(doc, indent=2) + "\n"
-    header = (f"critical path of {kn}  stage={depth}  points={len(path.points)}"
+    header = (f"critical path of {kn}  stage={depth}  points={len(path.rows)}"
               f"  gaps={len(path.gaps)}  fatou={len(path.fatou)}\n")
     return header + path_table(path)
 

@@ -14,6 +14,7 @@ older point's tail, a shift of nu, against ``*nu``, once per distinct
 shift in one construction.  :func:`build_critical_path` then walks the
 pairs of P_n once, placing each gap's central point and Fatou intervals
 beside the pair, so the path's markers follow from each point's position.
+A path is printed from plain tuples; its ``PathPoint`` objects are lazy.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from typing import List, Optional, Tuple
 
 from .errors import (DepthBudgetExceeded, NotStarPeriodic,
                      TrivialKneadingSequence)
-from .symbolic import (EPSeq, INF, KneadingSequence, STAR, format_key,
-                       format_sequence, precritical)
+from .symbolic import (EPSeq, INF, KneadingSequence, STAR, format_sequence,
+                       letter_sep, precritical)
 
 # the most points P_n may hold: all of stage 18 of a gap-free sequence, whose
-# `htree path` output takes about 3.5 s and 155 MB as text, and 4 s and 255 MB
-# as JSON, on a 2-vCPU machine
+# `htree path` output takes about 0.8 s and 136 MB as text, and 2.1 s and
+# 244 MB as JSON, on a 2-vCPU machine
 MAX_PATH_POINTS = 2 ** 17 + 1
 
 
@@ -84,10 +85,31 @@ class FatouInterval:
 
 @dataclass
 class CriticalPath:
+    """One ``(kind, num, word, text, itinerary)`` row per point in path
+    order: the label's numerator over ``scale`` (``2 * scale`` for a
+    central) or None, and ``w*nu``'s word and text or else an itinerary."""
+
     nu: KneadingSequence
-    points: List[PathPoint]
+    rows: List[Tuple]
+    scale: int
     gaps: List[Gap]
     fatou: List[FatouInterval] = field(default_factory=list)
+
+    def ratio(self, kind, num) -> Optional[Tuple[int, int]]:
+        """A label in lowest terms: shifted by num's trailing zeros (den's for 0)."""
+        if num is None:
+            return None
+        den = self.scale << (kind == "central")
+        shift = (num & -num or den).bit_length() - 1
+        return num >> shift, den >> shift
+
+    @cached_property
+    def points(self) -> List[PathPoint]:
+        """The rows as :class:`PathPoint`, built on first read."""
+        ratio, nu = self.ratio, self.nu
+        return [PathPoint(kind, None if num is None else Fraction(*ratio(kind, num)),
+                          word, None if word is None else nu, itinerary)
+                for kind, num, word, _, itinerary in self.rows]
 
 
 def _require_nontrivial(nu: KneadingSequence) -> None:
@@ -125,11 +147,13 @@ class _Words:
         self.seq = s = nu.seq
         self.reach = 1 + len(s.pre) + len(s.per or ())
         self.crit = (STAR,) + s.letters(self.reach)  # a prefix nu may end sooner
+        self.sep = letter_sep(s.degree)
         self.tails = {}
 
-    def split(self, wa, wb) -> Tuple:
+    def split(self, wa, wb, ta="", tb="") -> Tuple:
         """:func:`_split` of ``w_a*nu`` and ``w_b*nu``, in either order,
-        where the newer point was inserted beside the older one.
+        where the newer point was inserted beside the older one, as ``(k,
+        word, text)``: ta and tb are the texts of w_a and w_b.
 
         Let ``c = w*nu`` be inserted between a and b, with ``k = diff(a,
         b) = |w| + 1``.  Before position k, c reads w, the letters forced
@@ -144,19 +168,23 @@ class _Words:
         that depends on m alone: for exact nu both sides repeat with nu's
         period past ``1 + |pre|``, so one more period settles it; for a
         prefix nu the scan stops at the shorter side, as ``diff_within``.
+        A word's text is its letters, each after the degree's :func:`letter_sep`;
+        the text of ``m'`` is kept beside it, so the new text is one concatenation.
         """
         if wb is not None and (wa is None or len(wa) < len(wb)):
-            wa, wb = wb, wa  # wa is the newer point
+            wa, wb, ta = wb, wa, tb  # wa is the newer point
         d = len(wa)
         m = d if wb is None else d - len(wb) - 1
         hit = self.tails.get(m)
         if hit is None:
             assert m >= 0, "adjacent path points differ in depth"
             tail = self.seq.letters(m + self.reach)[m:]
-            hit = self.tails[m] = _split(
+            k, letters = _split(
                 tail, self.crit, self.reach if self.seq.exact else len(tail))
-        k, letters = hit
-        return (k if k is INF else d + k), wa + letters
+            hit = self.tails[m] = (k, letters,
+                                   "".join(self.sep + str(x) for x in letters))
+        k, letters, text = hit
+        return (k if k is INF else d + k), wa + letters, ta + text
 
     def central(self, letters: Tuple) -> EPSeq:
         """The central itinerary of an exact gap pair from the letters of
@@ -178,7 +206,8 @@ def build_critical_path(nu: KneadingSequence, n: int) -> CriticalPath:
 
     All splits share one table of tails (:meth:`_Words.split`): at
     ``(10*)`` stage 12 the 4,095 splits make 12 scans, and a gap pair is
-    answered from the table at every later stage and in the final pass.
+    answered from the table at every later stage, in the final pass and
+    in the refinement at nu that finds omega.
 
     Only a star-periodic nu has gaps; a truncation certifies none, and a
     wildcard-free exact nu is not purely periodic (validate_kneading), two
@@ -200,44 +229,39 @@ def build_critical_path(nu: KneadingSequence, n: int) -> CriticalPath:
         raise ValueError("stage must be at least 1")
     words = _Words(nu)
     scale = 1 << (n - 1)  # labels are numerators over 2^(n-1)
-    points: List[Tuple] = [((), 0), (None, scale)]
+    points: List[Tuple] = [("critical-point", 0, (), "", None),
+                           ("critical-value", scale, None, None, nu.seq)]
     for stage in range(2, n + 1):
         nxt = [points[0]]
         size = len(points)
-        for (wa, la), b in zip(points, points[1:]):
-            k, w = words.split(wa, b[0])
+        for a, b in zip(points, points[1:]):
+            k, w, text = words.split(a[2], b[2], a[3], b[3])
             if k is not INF:
                 size += 1
                 if size > MAX_PATH_POINTS:
                     raise DepthBudgetExceeded(
                         f"P_{stage} of {nu} exceeds {MAX_PATH_POINTS} points")
-                nxt.append((w, (la + b[1]) >> 1))
+                nxt.append(("precritical", (a[1] + b[1]) >> 1, w, text, None))
             nxt.append(b)
         points = nxt
+    if not nu.star_periodic:
+        return CriticalPath(nu, points, scale, [])
 
-    path = CriticalPath(nu, [PathPoint("critical-point", Fraction(0), (), nu)], [])
-    out = path.points
-    for (wa, la), (wb, lb) in zip(points, points[1:]):
-        if wb is None:
-            b = PathPoint("critical-value", Fraction(1), itinerary=nu.seq)
-        else:
-            b = PathPoint("precritical", Fraction(lb, scale), wb, nu)
-        if nu.star_periodic:
-            k, letters = words.split(wa, wb)
-            if k is INF:
-                left, central = out[-1].seq, words.central(letters)
-                path.gaps.append(Gap(left, b.seq, central))
-                out.append(PathPoint("central", Fraction(la + lb, 2 * scale),
-                                     itinerary=central))
-                path.fatou += (FatouInterval(left, central),
-                               FatouInterval(central, b.seq))
-        out.append(b)
-
-    if nu.star_periodic:
-        omega = lower_sequence(nu)
-        if all(g.central is not omega for g in path.gaps):
-            out.insert(len(out) - 1, PathPoint("limit", None, itinerary=omega))
-            path.fatou.append(FatouInterval(omega, nu.seq))
+    path = CriticalPath(nu, [points[0]], scale, [])
+    for a, b in zip(points, points[1:]):
+        k, letters, _ = words.split(a[2], b[2])
+        if k is INF:
+            left, central = precritical(a[2], nu), words.central(letters)
+            right = nu.seq if b[2] is None else precritical(b[2], nu)
+            path.gaps.append(Gap(left, right, central))
+            path.rows.append(("central", a[1] + b[1], None, None, central))
+            path.fatou += (FatouInterval(left, central),
+                           FatouInterval(central, right))
+        path.rows.append(b)
+    omega = _lower_sequence(nu, *_nu_chain(nu, words))
+    if all(g.central is not omega for g in path.gaps):
+        path.rows.insert(len(path.rows) - 1, ("limit", None, None, None, omega))
+        path.fatou.append(FatouInterval(omega, nu.seq))
     return path
 
 
@@ -246,9 +270,8 @@ def build_pn(nu: KneadingSequence, n: int) -> CriticalPath:
     path of :func:`build_critical_path` without its central and limit
     points and its Fatou intervals."""
     path = build_critical_path(nu, n)
-    path.points = [pt for pt in path.points if pt.kind not in ("central", "limit")]
-    path.fatou = []
-    return path
+    return CriticalPath(nu, [r for r in path.rows if r[0] not in ("central", "limit")],
+                        path.scale, path.gaps)
 
 
 def nu_chain(nu: KneadingSequence) -> Tuple[List[Tuple], Optional[EPSeq]]:
@@ -265,14 +288,17 @@ def nu_chain(nu: KneadingSequence) -> Tuple[List[Tuple], Optional[EPSeq]]:
     if not nu.star_periodic:
         raise NotStarPeriodic("the lower sequence exists for star-periodic nu only")
     _require_nontrivial(nu)
-    p = nu.period
-    words = _Words(nu)
+    return _nu_chain(nu, _Words(nu))
+
+
+def _nu_chain(nu: KneadingSequence, words: _Words):
+    """:func:`nu_chain` through the tails of a construction's words."""
     chain = [()]
     while True:
-        k, w = words.split(chain[-1], None)
+        k, w, _ = words.split(chain[-1], None)
         if k is INF:
             return chain, words.central(w)
-        if len(chain[-1]) >= 4 * p:  # its depth len(w) + 1 is past 4p
+        if len(chain[-1]) >= 4 * nu.period:  # its depth len(w) + 1 is past 4p
             return chain, None
         chain.append(w)
 
@@ -286,7 +312,11 @@ def lower_sequence(nu: KneadingSequence) -> EPSeq:
     neighbour of nu in :func:`nu_chain` (stabilized past depth 2p,
     re-checked at 4p).
     """
-    chain, central = nu_chain(nu)
+    return _lower_sequence(nu, *nu_chain(nu))
+
+
+def _lower_sequence(nu: KneadingSequence, chain, central) -> EPSeq:
+    """:func:`lower_sequence` from the answer of :func:`nu_chain`."""
     if central is not None:
         return central
     p = nu.period
@@ -323,7 +353,7 @@ def alpha_point(nu: KneadingSequence, chain_length: int = 12) -> AlphaWitness:
     words = _Words(nu)
     rho = [None, ()]  # the words of nu and *nu
     while len(rho) < chain_length:
-        k, w = words.split(rho[-1], rho[-2])
+        k, w, _ = words.split(rho[-1], rho[-2])
         if k is INF:
             break
         rho.append(w)
@@ -339,32 +369,24 @@ def path_table(path: CriticalPath) -> str:
     """One row per point in path order: kind, depth, word w, dyadic label,
     gap/Fatou markers.  Column order fixed.
 
-    The markers follow from the order of :func:`build_critical_path`: the
-    sides of a central point are gap boundaries, and the central point,
+    It prints the rows, so it builds no PathPoint or Fraction and joins no
+    word.  The markers follow from the order of :func:`build_critical_path`:
+    the sides of a central point are gap boundaries, and the central point,
     its sides, the limit point and the nu after it are Fatou ends."""
-    kinds = [None] + [pt.kind for pt in path.points] + [None]
-    degree = path.nu.degree
+    kinds = [None] + [row[0] for row in path.rows] + [None]
+    sep = letter_sep(path.nu.degree)
     rows = [("#", "kind", "depth", "word", "label", "markers")]
-    for i, pt in enumerate(path.points, start=1):
+    for i, (kind, num, w, text, itinerary) in enumerate(path.rows, start=1):
         side = "central" in (kinds[i - 1], kinds[i + 1])
-        markers = []
-        if pt.kind == "central":
-            markers.append("gap-central")
-        elif side:
-            markers.append("gap-boundary")
-        if side or pt.kind in ("central", "limit") or kinds[i - 1] == "limit":
-            markers.append("fatou")
-        if pt.kind == "critical-value":
-            word = "-"
-        elif pt.word is not None:
-            word = format_key(pt.word, None, degree) if pt.word else "e"
-        else:
-            word = format_sequence(pt.seq)
-        depth, label = pt.depth, pt.label
-        rows.append((str(i), pt.kind, "-" if depth is None else str(depth), word,
-                     "-" if label is None else f"{label.numerator}/{label.denominator}",
-                     ",".join(markers)))
+        markers = ("gap-central,fatou" if kind == "central" else
+                   "gap-boundary,fatou" if side else
+                   "fatou" if "limit" in (kind, kinds[i - 1]) else "")
+        word = ("-" if kind == "critical-value" else
+                format_sequence(itinerary) if w is None else
+                f"[{text[len(sep):]}]" if sep and w else text or "e")
+        rows.append((str(i), kind, "-" if w is None else str(len(w) + 1), word,
+                     "-" if num is None else "%d/%d" % path.ratio(kind, num), markers))
 
     # each column left-justified to its widest cell
-    line = "  ".join(f"{{:<{max(map(len, col))}}}" for col in zip(*rows))
-    return "".join(line.format(*r).rstrip() + "\n" for r in rows)
+    line = "  ".join(f"%-{max(map(len, col))}s" for col in zip(*rows))
+    return "".join((line % r).rstrip() + "\n" for r in rows)

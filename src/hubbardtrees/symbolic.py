@@ -580,11 +580,16 @@ def parse_prefix(text: str, degree=2) -> EPSeq:
     return EPSeq(word, None, degree)
 
 
+def letter_sep(degree) -> str:
+    """Between printed letters: nothing up to degree 10 (digits), else a comma."""
+    return "" if degree <= 10 else ","
+
+
 def format_key(pre: Word, per: Optional[Word], degree) -> str:
     """The sequence with key ``(pre, per, degree)`` as printed (the
     wildcard's str is ``*``); a word of letters prints as the truncation
     with those letters."""
-    compact = degree <= 10  # checked letters are then single digits
+    compact = not letter_sep(degree)
     if per is None:
         if compact and STAR not in pre:
             return "".join(map(str, pre))

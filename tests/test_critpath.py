@@ -1,6 +1,7 @@
 """Critical path construction: P_n, gaps, central itineraries, omega."""
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -9,6 +10,7 @@ from functools import cached_property
 import pytest
 
 from hubbardtrees import critpath
+from hubbardtrees.cli import main
 from hubbardtrees.critpath import (
     alpha_point,
     build_critical_path,
@@ -658,6 +660,14 @@ class _KeyedPoint:
         return precritical(self.word, self.nu)
 
 
+@dataclass
+class _KeyedPath:  # the CriticalPath of those passes: a list of points
+    nu: object
+    points: list
+    gaps: list
+    fatou: list = field(default_factory=list)
+
+
 def _keyed_pn(nu, n):
     words = critpath._Words(nu)
     scale = 1 << (n - 1)
@@ -665,7 +675,7 @@ def _keyed_pn(nu, n):
     for _ in range(2, n + 1):
         nxt = [points[0]]
         for (wa, la), b in zip(points, points[1:]):
-            k, w = words.split(wa, b[0])
+            k, w, _ = words.split(wa, b[0])
             if k is not INF:
                 nxt.append((w, (la + b[1]) >> 1))
             nxt.append(b)
@@ -680,11 +690,11 @@ def _keyed_pn(nu, n):
     gaps = []
     if nu.star_periodic:
         for i in range(last):
-            k, letters = words.split(points[i][0], points[i + 1][0])
+            k, letters, _ = words.split(points[i][0], points[i + 1][0])
             if k is INF:
                 gaps.append(critpath.Gap(out[i].seq, out[i + 1].seq,
                                          words.central(letters)))
-    return critpath.CriticalPath(nu=nu, points=out, gaps=gaps)
+    return _KeyedPath(nu=nu, points=out, gaps=gaps)
 
 
 def _seq_key(s):
@@ -797,6 +807,97 @@ def test_one_pass_path_matches_key_matching_passes():
     assert (seen, gapped, limited) == (2816, 195, 2300)
 
 
+# -- the table printed from rows ----------------------------------------------------
+#
+# build_critical_path keeps each point as a tuple with its label's numerator
+# and its word's text; path_table and JSON path print those, and PathPoint
+# and Fraction are built only when path.points is read.
+
+
+def test_labels_print_from_numerators(capsys):
+    for s in range(13):
+        path = critpath.CriticalPath(kneading("(10*)"), [], 1 << s, [])
+        for kind, den in (("precritical", 1 << s), ("central", 2 << s)):
+            for num in range(den + 1):
+                want = Fraction(num, den)
+                p, q = path.ratio(kind, num)
+                assert f"{p}/{q}" == f"{want.numerator}/{want.denominator}"
+                assert (str(p) if q == 1 else f"{p}/{q}") == str(want)
+    assert path.ratio("limit", None) is None
+
+    # every numerator over 2^12, and centrals over 2^n for n = 9, 10, 12
+    for text, n in [("(10*)", 13), ("(10010*)", 12), ("(1011*)", 9), ("(1*)", 10)]:
+        kn = kneading(text)
+        path = build_critical_path(kn, n)
+        assert main(["path", "--nu", text, "--depth", str(n), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["points"]
+        table = path_table(path).splitlines()[1:]
+        assert len(rows) == len(table) == len(path.points)
+        for pt, row, line in zip(path.points, rows, table):
+            label = pt.label
+            assert row["label"] == (None if label is None else str(label))
+            assert line.split()[4] == ("-" if label is None else
+                                       f"{label.numerator}/{label.denominator}")
+
+
+def test_path_table_builds_no_point(monkeypatch):
+    inits, fractions = [], []
+    init = critpath.PathPoint.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_fraction(*args):
+        fractions.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(critpath.PathPoint, "__init__", counting_init)
+    monkeypatch.setattr(critpath, "Fraction", counting_fraction)
+    kns = [kneading(text) for text in ("(10*)", "(10010*)", "(1011*)", "10(011)")]
+    kns += [kneading("[|1,12,11,*]", INF), kneading("[1,7|3,2]", INF),
+            validate_kneading(parse_prefix("1011011100")), make("feigenbaum", depth=12)]
+    for kn in kns:
+        path = build_critical_path(kn, 10)
+        table = path_table(path)
+        assert (inits, fractions) == ([], []), str(kn)
+        ref = _keyed_critical_path(kn, 10)
+        assert table == _keyed_path_table(ref), str(kn)
+        assert [(pt.kind, pt.label, pt.depth, pt.word, pt.itinerary)
+                for pt in path.points] == [(pt.kind, pt.label, pt.depth, pt.word,
+                                            pt.itinerary) for pt in ref.points], str(kn)
+        assert len(inits) == len(path.rows), str(kn)
+        inits.clear()
+        fractions.clear()
+
+
+def test_path_scans_each_tail_once(monkeypatch):
+    # the limit point's refinement at nu reads the construction's own tails
+    made, scans = [], []
+
+    class Words(critpath._Words):
+        def __init__(self, nu):
+            super().__init__(nu)
+            made.append(self)
+
+    def counting(*args):
+        scans.append(args)
+        return split(*args)
+
+    split = critpath._split
+    monkeypatch.setattr(critpath, "_split", counting)
+    monkeypatch.setattr(critpath, "_Words", Words)
+    kns = list(star_periodic_sequences(9))
+    assert len(kns) == 255
+    for kn in kns:
+        for build in (build_critical_path, build_pn):
+            made.clear()
+            scans.clear()
+            build(kn, 6)
+            assert len(made) == 1, str(kn)
+            assert len(scans) == len(made[0].tails), str(kn)
+
+
 def test_gap_at_nu_has_central_omega():
     # build_critical_path marks points by position; that needs the gap at
     # nu, at any stage, to have omega as its central.  The refinement of
@@ -809,7 +910,7 @@ def test_gap_at_nu_has_central_omega():
         words = critpath._Words(kn)
         w = ()
         for _ in range(kn.period + 1):
-            k, letters = words.split(w, None)
+            k, letters, _ = words.split(w, None)
             if k is INF:
                 at_nu += 1
                 assert words.central(letters) is lower_sequence(kn), str(kn)
