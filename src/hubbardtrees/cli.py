@@ -81,7 +81,7 @@ def resolve_input(args) -> KneadingSequence:
     elif args.nu is not None:
         parse = parse_prefix if getattr(args, "prefix", False) else parse_sequence
         seq = parse(args.nu, degree)
-        if args.normalize:
+        if getattr(args, "normalize", False):
             seq = _normalize_symbols(seq)
         kn = validate_kneading(seq)
     else:
@@ -239,7 +239,7 @@ def cmd_classify(args) -> str:
 
 
 def cmd_address(args) -> str:
-    if args.from_address:
+    if args.from_address is not None:
         try:
             entries = [int(x) for x in args.from_address.split(",")]
         except ValueError:
@@ -305,7 +305,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p, with_format=True):
+def _add_common(p, formats=(), max_vertices=True, normalize=True):
+    """The input options, and of the others those the subcommand reads."""
     p.add_argument("--degree", default="2", help="alphabet degree (2.. or inf)")
     p.add_argument("--nu", help="kneading sequence, e.g. '(101*)' or '[|1,2,*]'")
     p.add_argument("--prefix", action="store_true",
@@ -314,14 +315,15 @@ def _add_common(p, with_format=True):
                                  "address=1,2,4, prefix=110100")
     p.add_argument("--depth", type=_positive_int, default=None,
                    help="stage / growth / generator depth")
-    p.add_argument("--max-vertices", type=_positive_int, default=64,
-                   help="growth ceiling before truncation")
-    p.add_argument("--normalize", action="store_true",
-                   help="relabel infinite-degree symbols by first occurrence")
+    if max_vertices:
+        p.add_argument("--max-vertices", type=_positive_int, default=64,
+                       help="growth ceiling before truncation")
+    if normalize:
+        p.add_argument("--normalize", action="store_true",
+                       help="relabel infinite-degree symbols by first occurrence")
     p.add_argument("--out", help="write output to this file instead of stdout")
-    if with_format:
-        p.add_argument("--format", default="text",
-                       choices=["text", "dot", "json", "svg"])
+    if formats:
+        p.add_argument("--format", default="text", choices=formats)
 
 
 @functools.cache
@@ -334,19 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("path", help="precritical points, gaps, Fatou intervals")
-    _add_common(p)
+    _add_common(p, ("text", "json"), max_vertices=False)
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("tree", help="build and export the Hubbard tree")
-    _add_common(p)
+    _add_common(p, ("text", "dot", "json", "svg"))
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("classify", help="orbit types, embeddability, entropy")
-    _add_common(p)
+    _add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("address", help="internal address <-> kneading sequence")
-    _add_common(p)
+    _add_common(p, max_vertices=False, normalize=False)
     p.add_argument("--from", dest="from_address",
                    help="comma-separated address, e.g. 1,3,4,8")
     p.add_argument("--max", dest="max_entries", type=_positive_int, default=16,
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_address)
 
     p = sub.add_parser("entropy", help="core entropy of the finite tree")
-    _add_common(p, with_format=False)
+    _add_common(p)
     p.add_argument("--matrix", action="store_true",
                    help="dump the edge transition matrix")
     p.set_defaults(func=cmd_entropy)

@@ -9,6 +9,10 @@ also stops with the prefix its trusted symbols certify when a point runs
 out of symbols or the walk runs out of budget, and at the degenerate
 point when two distinct truncations read the wildcard together.
 
+A truncation is one point with every point whose itinerary extends it or
+is extended by it (``same_point``); the insertion walk tests this only at
+the vertex where it stops, and so names that vertex in a tie.
+
 For star-periodic kneading sequences the lower sequence's orbit is
 inserted as well; an edge is a Fatou interval exactly when its endpoints
 have diff = INF (no precritical point ever separates them).
@@ -163,7 +167,9 @@ def same_point(x: EPSeq, y: EPSeq) -> bool:
     """Identity for tree points.  Exact sequences are interned, so they
     are one point iff they are one object; a truncated word is identified
     with a point whose itinerary extends it, or is extended by it (the
-    best a truncation can certify)."""
+    best a truncation can certify).  Two vertices that differ only after
+    a truncation's last letter are both one point with it (a tie), and
+    ``HubbardTree._walk`` names the one it stops at."""
     if x is y:
         return True
     if x.exact:
@@ -290,23 +296,27 @@ class HubbardTree:
         self.adj[m] = [u, v]
 
     def _walk(self, p: EPSeq):
-        """Locate the attachment of p: ('existing', v) if p is a vertex,
-        ('interior', (u, v)) if p subdivides edge (u, v),
+        """Locate the attachment of p: ('existing', v) if p is the vertex
+        v, ('interior', (u, v)) if p subdivides edge (u, v),
         ('branch', (u, v, m)) if p hangs off a new vertex m interior to
-        (u, v), or ('at', v) if p hangs off the existing vertex v."""
-        if p.exact and self.nu.exact:
-            # a tree over an exact sequence holds exact points only
-            if p in self.adj:
-                return ("existing", p)
-        else:
-            for v in self.adj:
-                if same_point(p, v):
-                    return ("existing", v)
+        (u, v), or ('at', v) if p hangs off the existing vertex v.
+
+        p is v if it is that object, or if the walk stops at v and
+        same_point(p, v); no other vertex is tested.  The argument: while
+        p is one point with v, a meet reads p's letters where it would
+        read v's, so each step toward v gives a meet that is one point
+        with the next vertex, and at v every meet is one point with v.
+        It is not a proof over every exit of ``meet``; the test
+        test_walk_stops_at_the_vertex_the_scan_finds guards it with a
+        scan of every vertex beside each walk.  In a tie (see
+        ``same_point``) p is the vertex the walk stops at.
+        """
+        if p in self.adj:
+            return ("existing", p)
         cur = self.nu
         prev = None
         cap = 4 * len(self.adj) + 8
         for _ in range(cap):
-            advanced = False
             for u in self.adj[cur]:
                 if u is prev:
                     continue
@@ -315,46 +325,35 @@ class HubbardTree:
                     continue
                 if same_point(m, u):
                     prev, cur = cur, u
-                    advanced = True
                     break
                 if same_point(m, p):
                     return ("interior", (cur, u))
                 return ("branch", (cur, u, m))
-            if not advanced:
-                return ("at", cur)
+            else:  # no neighbour leads on: p is cur, or hangs off it
+                return ("existing", cur) if same_point(p, cur) else ("at", cur)
         raise MeetInconsistency("insertion walk failed to terminate")
 
     def insert_point(self, p: EPSeq, postcritical: Optional[int] = None):
         """Attach p to the tree; idempotent.  Returns (vertex, how) where
         how is 'existing', 'interior', or 'pendant'."""
         kind, data = self._walk(p)
-        if kind == "existing":
-            v = data
-        elif kind == "interior":
-            u, w = data
-            self._subdivide(u, w, p)
-            v = p
+        v = data if kind == "existing" else p
+        if kind == "interior":
+            self._subdivide(*data, p)
         elif kind == "branch":
             u, w, m = data
-            if m in self.adj:  # truncated inputs may rediscover a vertex
-                self.adj[m].append(p)
-            else:
+            if m not in self.adj:  # truncated inputs may rediscover a vertex
                 self._subdivide(u, w, m)
-                self.adj[m].append(p)
+            self.adj[m].append(p)
             self.adj[p] = [m]
-            v = p
-        else:
-            anchor = data
-            self.adj[anchor].append(p)
-            self.adj[p] = [anchor]
-            v = p
+        elif kind == "at":
+            self.adj[data].append(p)
+            self.adj[p] = [data]
         if postcritical is not None:
             old = self.postcritical.get(v)
             if old is None or postcritical < old:
                 self.postcritical[v] = postcritical
-        how = {"existing": "existing", "interior": "interior",
-               "branch": "pendant", "at": "pendant"}[kind]
-        return v, how
+        return v, "pendant" if kind in ("branch", "at") else kind
 
     # -- vertex kinds ----------------------------------------------------------
 
@@ -495,10 +494,7 @@ def sigma_closure(tree: HubbardTree) -> HubbardTree:
                 continue
             if t is tree:
                 t = tree.copy()  # copy on the first change only
-            if s not in t.adj:
-                t.insert_point(s, postcritical=child_pc)
-            else:
-                t.postcritical[s] = child_pc
+            t.insert_point(s, postcritical=child_pc)
             stable = False
     return t
 

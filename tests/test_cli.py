@@ -529,6 +529,30 @@ def test_integer_options_below_one_are_usage_errors(argv, capsys):
     assert f"error: argument {argv[-2]}: expected an integer >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["path", "--format", "dot"],
+    ["path", "--format", "svg"],
+    ["path", "--max-vertices", "5"],
+    ["classify", "--format", "dot"],
+    ["classify", "--format", "svg"],
+    ["address", "--format", "text"],
+    ["address", "--max-vertices", "5"],
+    ["address", "--normalize"],
+])
+def test_subcommands_take_only_the_options_they_read(argv, capsys):
+    # each of these was parsed and then ignored; the goldens above pin
+    # that the options each subcommand keeps print as before
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--nu", "(10*)"])
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_empty_address_is_a_bad_address(capsys):
+    assert main(["address", "--from", ""]) == 2
+    assert capsys.readouterr() == ("", "error: bad address ''\n")
+
+
 def test_integer_options_accept_one(capsys):
     assert main(["path", "--nu", "(10*)", "--depth", "1"]) == 0
     assert "stage=1" in capsys.readouterr().out

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hubbardtrees import treebuild
 from hubbardtrees.critpath import build_pn, lower_sequence
 from hubbardtrees.errors import MeetInconsistency, TruncatedTree
 from hubbardtrees.export import (
@@ -434,6 +435,103 @@ def test_truncated_tree_names_the_periodic_point_it_meets(word, vertices):
     tree = build_tree(validate_kneading(parse_prefix(word)))
     order = vertex_order(tree)
     assert [format_sequence(v) for v in sorted(order, key=order.get)] == vertices.split()
+
+
+# The insertion walk as it was while a truncated point was first tested
+# against every vertex.  It is copied verbatim apart from its name.
+
+
+def _reference_walk(self, p: EPSeq):
+    if p.exact and self.nu.exact:
+        # a tree over an exact sequence holds exact points only
+        if p in self.adj:
+            return ("existing", p)
+    else:
+        for v in self.adj:
+            if same_point(p, v):
+                return ("existing", v)
+    cur = self.nu
+    prev = None
+    cap = 4 * len(self.adj) + 8
+    for _ in range(cap):
+        advanced = False
+        for u in self.adj[cur]:
+            if u is prev:
+                continue
+            m = meet(p, cur, u, self.kneading)
+            if same_point(m, cur):
+                continue
+            if same_point(m, u):
+                prev, cur = cur, u
+                advanced = True
+                break
+            if same_point(m, p):
+                return ("interior", (cur, u))
+            return ("branch", (cur, u, m))
+        if not advanced:
+            return ("at", cur)
+    raise MeetInconsistency("insertion walk failed to terminate")
+
+
+def _walk_corpus():
+    """The truncated corpus, plus 100 seeded prefixes for each of the
+    degrees 3, 4 and inf: a short block repeated to 8-24 letters with one
+    letter changed, so that many orbit points share long prefixes."""
+    rng = random.Random(20)
+    kns = _truncated_corpus()
+    for degree, letters in ((3, range(3)), (4, range(4)), (INF, range(6))):
+        for _ in range(100):
+            block = [1] + rng.choices(letters, k=rng.randint(1, 5))
+            word = (block * 12)[:rng.randint(8, 24)]
+            word[rng.randrange(1, len(word))] = rng.choice(letters)
+            kns.append(validate_kneading(EPSeq(word, None, degree)))
+    return kns
+
+
+def test_walk_stops_at_the_vertex_the_scan_finds(monkeypatch):
+    # every walk also runs the scanning reference on the same tree; they
+    # may differ only where p is one point with two vertices (a tie)
+    walk = HubbardTree._walk
+    found = ties = 0
+
+    def checked(tree, p):
+        nonlocal found, ties
+        got, ref = walk(tree, p), _reference_walk(tree, p)
+        if got != ref:
+            assert got[0] == ref[0] == "existing", (str(tree.kneading), fs(p))
+            assert same_point(p, got[1]) and same_point(p, ref[1])
+            ties += 1
+        elif got[0] == "existing" and got[1] is not p:
+            found += 1
+        return got
+
+    monkeypatch.setattr(HubbardTree, "_walk", checked)
+    for kn in _walk_corpus():
+        build_tree(kn)
+    assert found > 500
+    # the one tie: in the tree of 1001000100, 00100 is both 001000100 (the
+    # scan's) and (001) (the walk's)
+    assert ties == 1
+
+
+def test_walk_tests_identity_at_most_three_times_per_meet(monkeypatch):
+    # each walk step makes one meet and up to three identity tests, and a
+    # walk makes one more where it stops; a scan over the vertices before
+    # each truncated walk made 182,586 tests at depth 800
+    calls = {"meet": 0, "same_point": 0, "walk": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(treebuild, "meet", counted("meet", meet))
+    monkeypatch.setattr(treebuild, "same_point", counted("same_point", same_point))
+    monkeypatch.setattr(HubbardTree, "_walk", counted("walk", HubbardTree._walk))
+    build_tree(make("staircase", depth=400), 400, max_points=400)
+    assert calls["walk"] >= 200
+    assert calls["same_point"] <= 3 * calls["meet"] + calls["walk"], calls
 
 
 # -- sigma closure and the kept lower sequence ---------------------------------
