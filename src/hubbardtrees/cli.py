@@ -239,6 +239,8 @@ def cmd_classify(args) -> str:
 
 
 def cmd_address(args) -> str:
+    if args.depth is not None and args.gen is None:
+        raise SequenceParseError("address reads --depth only with --gen")
     if args.from_address is not None:
         try:
             entries = [int(x) for x in args.from_address.split(",")]
@@ -306,13 +308,17 @@ def _positive_int(text: str) -> int:
 
 
 def _add_common(p, formats=(), max_vertices=True, normalize=True):
-    """The input options, and of the others those the subcommand reads."""
+    """The input options, and of the others those the subcommand reads.
+    Returns the group of input sources, of which a command line takes
+    one."""
     p.add_argument("--degree", default="2", help="alphabet degree (2.. or inf)")
-    p.add_argument("--nu", help="kneading sequence, e.g. '(101*)' or '[|1,2,*]'")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--nu",
+                        help="kneading sequence, e.g. '(101*)' or '[|1,2,*]'")
     p.add_argument("--prefix", action="store_true",
                    help="treat --nu as a bare truncated prefix word")
-    p.add_argument("--gen", help="builtin generator: staircase, feigenbaum, "
-                                 "address=1,2,4, prefix=110100")
+    source.add_argument("--gen", help="builtin generator: staircase, "
+                                      "feigenbaum, address=1,2,4, prefix=110100")
     p.add_argument("--depth", type=_positive_int, default=None,
                    help="stage / growth / generator depth")
     if max_vertices:
@@ -324,6 +330,7 @@ def _add_common(p, formats=(), max_vertices=True, normalize=True):
     p.add_argument("--out", help="write output to this file instead of stdout")
     if formats:
         p.add_argument("--format", default="text", choices=formats)
+    return source
 
 
 @functools.cache
@@ -348,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("address", help="internal address <-> kneading sequence")
-    _add_common(p, max_vertices=False, normalize=False)
-    p.add_argument("--from", dest="from_address",
-                   help="comma-separated address, e.g. 1,3,4,8")
+    source = _add_common(p, max_vertices=False, normalize=False)
+    source.add_argument("--from", dest="from_address",
+                        help="comma-separated address, e.g. 1,3,4,8")
     p.add_argument("--max", dest="max_entries", type=_positive_int, default=16,
                    help="entry cap for infinite addresses")
     p.set_defaults(func=cmd_address)

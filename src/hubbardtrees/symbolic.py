@@ -14,10 +14,12 @@ Indexing is 1-based throughout: ``nu = nu_1 nu_2 ...``.
 from __future__ import annotations
 
 import math
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Tuple, Union
+from weakref import KeyedRef
 
 from .errors import (
     BadLeadingSymbol,
@@ -105,11 +107,15 @@ class EPSeq:
     reads: a truncation simply has no letters past its word.
 
     Instances are immutable and interned per (pre, per, degree), so
-    identity is equality.
+    identity is equality among live instances.  The table holds them
+    weakly: an instance nothing else references leaves it, and the same
+    key later builds a new one.  To compare a sequence with one built
+    later, keep a reference to it.
     """
 
-    __slots__ = ("pre", "per", "degree", "head", "_hash", "_tail")
-    _intern: dict = {}
+    __slots__ = ("pre", "per", "degree", "head", "_hash", "_tail",
+                 "__weakref__")
+    _intern: dict = {}  # key -> weakref.KeyedRef(instance, _forget, key)
 
     def __new__(cls, pre: Iterable[Symbol] = (),
                 per: Optional[Iterable[Symbol]] = (), degree=2):
@@ -117,7 +123,7 @@ class EPSeq:
         if per is not None:
             pre, per = _canonical(pre, tuple(per))
         key = (pre, per, degree)
-        hit = cls._intern.get(key)
+        hit = cls._intern.get(key, _absent)()
         if hit is not None:
             return hit
         _check_letters(pre, degree)
@@ -136,8 +142,15 @@ class EPSeq:
         obj.head = pre[0] if pre else per[0] if per else None
         obj._hash = hash(key)
         obj._tail = None
-        # atomic: threads racing on one key all get the first object stored
-        return cls._intern.setdefault(key, obj)
+        ref = KeyedRef(obj, _forget, key)
+        # atomic: threads racing on one key all get the first live object
+        # stored.  A dead ref whose callback has not run yet is removed
+        # (only if it is still there and still dead) and the store retried.
+        while True:
+            hit = cls._intern.setdefault(key, ref)()
+            if hit is not None:
+                return hit
+            _remove_dead_weakref(cls._intern, key)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -196,7 +209,8 @@ class EPSeq:
                 key = (pre[1:], per, self.degree)
             else:
                 key = ((), per[1:] + per[:1], self.degree)
-            t = self._tail = EPSeq._intern.get(key) or EPSeq._store(key)
+            t = self._tail = (EPSeq._intern.get(key, _absent)()
+                              or EPSeq._store(key))
         return t
 
     def shift(self, k: int) -> "EPSeq":
@@ -229,6 +243,17 @@ class EPSeq:
             out.append(s)
             s = s.tail()
         return out
+
+
+def _forget(ref, table=EPSeq._intern, remove=_remove_dead_weakref):
+    # a ref's callback: drop its entry if that is still a dead ref; the
+    # defaults keep the callback working while the module is torn down
+    remove(table, ref.key)
+
+
+def _absent():
+    # the intern lookup's default: called like a dead ref, it gives None
+    return None
 
 
 def _bound(a: EPSeq, b: EPSeq) -> int:
@@ -399,7 +424,7 @@ def precritical(w: Iterable[Symbol], nu: KneadingSequence) -> EPSeq:
     """The precritical point ``w * nu``, interned under
     :func:`precritical_key`."""
     key = precritical_key(w, nu)
-    return EPSeq._intern.get(key) or EPSeq._store(key)
+    return EPSeq._intern.get(key, _absent)() or EPSeq._store(key)
 
 
 @dataclass(frozen=True)

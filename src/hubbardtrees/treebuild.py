@@ -76,9 +76,7 @@ def meet(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> EPSeq:
     reading the wildcard give that point (the tripod is degenerate).
     """
     # Sequences are interned, exact and truncated alike, so identity is
-    # equality.  Every slot is an input, the critical point or the cached
-    # tail of an earlier slot, so all stay alive during the walk and id()
-    # names a point throughout.
+    # equality.
     nu_seq = nu.seq
     degree = a.degree
     exact = a.exact and b.exact and c.exact and nu_seq.exact
@@ -96,6 +94,14 @@ def meet(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> EPSeq:
     crit = nu.critical_point()
     star = STAR
     w: list = []
+    # seen is keyed on id(), so every slot must stay alive for the whole
+    # walk: else a new tail could reuse a freed slot's address and fake a
+    # recurrence.  Every slot is an input, *nu (held by nu) or the tail
+    # cached on an earlier slot.  The intern table holds sequences weakly
+    # and a call moves its arguments into the callee, so an input passed
+    # as a temporary would be freed once a, b and c are rebound below;
+    # args keeps the inputs, and through their tails every later slot.
+    args = (a, b, c)
     seen: dict = {}
     steps = 0
     while True:

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import gc
 import hashlib
 import importlib
 import json
@@ -14,6 +15,7 @@ import threading
 import mpmath
 import pytest
 
+from conftest import star_periodic_sequences
 from hubbardtrees import cli
 from hubbardtrees.cli import main
 
@@ -95,12 +97,9 @@ def test_path_output_is_byte_identical_to_golden(args, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, (args, fmt)
 
 
-def test_json_path_builds_no_sequence_per_point(capsys):
-    from hubbardtrees.symbolic import EPSeq
-
-    before = len(EPSeq._intern)
+def test_json_path_builds_no_sequence_per_point(capsys, constructions):
     assert main(["path", "--nu", "(10*)", "--depth", "12", "--format", "json"]) == 0
-    assert len(EPSeq._intern) - before < 64
+    assert constructions[0] < 64
     assert len(json.loads(capsys.readouterr().out)["points"]) > 2000
 
 
@@ -553,6 +552,30 @@ def test_empty_address_is_a_bad_address(capsys):
     assert capsys.readouterr() == ("", "error: bad address ''\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["tree", "--gen", "staircase", "--depth", "6", "--nu", "(10*)"],
+    ["classify", "--nu", "(10*)", "--gen", "feigenbaum"],
+    ["address", "--from", "1,2,3", "--nu", "(1001*)"],
+    ["address", "--from", "1,2,3", "--gen", "staircase"],
+])
+def test_one_input_source_per_command(argv, capsys):
+    # the first was the staircase tree and the third (10*): one source
+    # was dropped without a word
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", [["--nu", "(10*)"], ["--from", "1,2,4"]])
+def test_address_depth_needs_a_generator(source, capsys):
+    # --depth is the depth of --gen; for other input it was parsed and ignored
+    assert main(["address", *source, "--depth", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: address reads --depth only with --gen\n")
+    assert main(["address", "--gen", "staircase", "--depth", "3"]) == 0
+
+
 def test_integer_options_accept_one(capsys):
     assert main(["path", "--nu", "(10*)", "--depth", "1"]) == 0
     assert "stage=1" in capsys.readouterr().out
@@ -759,6 +782,26 @@ def test_main_in_process(capsys):
     assert main(["address", "--nu", "(1100110*)"]) == 0
     assert capsys.readouterr().out.strip() == "1 -> 3 -> 4 -> 8"
     assert main(["classify", "--nu", "(101)"]) == 2
+
+
+# -- memory ----------------------------------------------------------------------------------------
+
+
+def test_a_session_keeps_only_the_sequences_in_use(capsys):
+    # one process, many distinct inputs: the intern table holds sequences
+    # weakly, so it shrinks back once each command's answer is printed
+    from hubbardtrees.symbolic import EPSeq
+
+    gc.collect()
+    before = len(EPSeq._intern)
+    words = [str(kn) for kn in star_periodic_sequences(9)]
+    assert len(words) == 255
+    for w in words:
+        assert main(["tree", "--nu", w, "--format", "json"]) == 0
+        assert main(["classify", "--nu", w]) == 0
+        capsys.readouterr()
+    gc.collect()
+    assert len(EPSeq._intern) - before <= 64
 
 
 # -- the benchmark's imports -----------------------------------------------------------------------

@@ -475,12 +475,11 @@ def test_path_table_deterministic_and_shaped():
 # -- points as words ------------------------------------------------------------------
 
 
-def test_path_builds_no_sequence_per_point():
+def test_path_builds_no_sequence_per_point(constructions):
     nu = kneading("(10*)")
-    before = len(EPSeq._intern)
     path = build_critical_path(nu, 12)
     path_table(path)
-    assert len(EPSeq._intern) - before < 64
+    assert constructions[0] < 64
     assert len(path.points) > 2000
 
 

@@ -1,6 +1,7 @@
 """Sequence representation, diff, kneading validation, angles."""
 
 import copy
+import gc
 import itertools
 import math
 import pickle
@@ -588,3 +589,46 @@ def test_precritical_interning_is_atomic_under_threads():
     for j, w in enumerate(words):
         assert all(g[j] is got[0][j] for g in got[1:])
         assert precritical(w, nu) is got[0][j]
+
+
+def test_interning_is_atomic_over_dropped_entries():
+    # sequences no other test builds: degree 9, a 14-letter preperiod.  A
+    # first round builds and drops them, so their entries leave the table;
+    # then threads race to rebuild them, and each loser's object dies at
+    # once, so its entry's callback runs while the winner's entry is live
+    keys = [(tuple(8 - int(b) for b in f"{i:014b}"), (6, 3))
+            for i in range(3000)]
+    built = [EPSeq(pre, per, 9) for pre, per in keys]
+    assert all(EPSeq._intern[(pre, per, 9)]() is s
+               for (pre, per), s in zip(keys, built))
+    del built
+    gc.collect()
+    assert not any((pre, per, 9) in EPSeq._intern for pre, per in keys)
+    workers = 4
+    barrier = threading.Barrier(workers, timeout=30)
+    got = [None] * workers
+
+    def build(slot):
+        barrier.wait()
+        got[slot] = [EPSeq(pre, per, 9) for pre, per in keys]
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g is not None for g in got)
+    for j, (pre, per) in enumerate(keys):
+        first = got[0][j]
+        assert all(g[j] is first for g in got[1:])
+        assert EPSeq(pre, per, 9) is first
+    del got, first
+    gc.collect()
+    assert not any((pre, per, 9) in EPSeq._intern for pre, per in keys)
