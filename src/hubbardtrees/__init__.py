@@ -29,7 +29,6 @@ from .critpath import (
     CriticalPath,
     FatouInterval,
     Gap,
-    PathPoint,
     alpha_point,
     build_critical_path,
     build_pn,

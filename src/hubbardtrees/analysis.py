@@ -28,7 +28,7 @@ from .symbolic import (
     INF,
     KneadingSequence,
     STAR,
-    diff_within,
+    diff,
     is_bifurcation,
     validate_kneading,
 )
@@ -543,10 +543,8 @@ def recurrence_probe(nu: KneadingSequence, horizon: int) -> RecurrenceProbe:
     rows = []
     witnessed = 0
     periodic = False
-    window = INF
     for k in range(1, horizon + 1):
-        d, win = diff_within(s, s.shift(k))
-        window = min(window, win)
+        d = diff(s, s.shift(k))
         rows.append((k, d))
         if d is INF and s.exact:
             periodic = True
@@ -558,5 +556,5 @@ def recurrence_probe(nu: KneadingSequence, horizon: int) -> RecurrenceProbe:
         verdict = f"recurrence witnessed to depth {witnessed}"
     else:
         verdict = (f"recurrence witnessed to depth {witnessed} "
-                   f"(valid to depth {int(window)})")
+                   f"(valid to depth {len(s.shift(horizon).pre)})")
     return RecurrenceProbe(tuple(rows), verdict, witnessed, s.exact)

@@ -76,6 +76,10 @@ def _normalize_symbols(seq):
 def resolve_input(args) -> KneadingSequence:
     degree = parse_degree(args.degree)
     if getattr(args, "gen", None):
+        if args.prefix or getattr(args, "normalize", False) or degree != 2:
+            raise SequenceParseError(
+                "--gen makes degree-2 sequences: it takes no --prefix, "
+                "--normalize or --degree other than 2")
         name, _, params = args.gen.partition("=")
         kn = make_generated(name, depth=args.depth or 16, params=params)
     elif args.nu is not None:

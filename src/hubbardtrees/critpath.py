@@ -14,14 +14,12 @@ older point's tail, a shift of nu, against ``*nu``, once per distinct
 shift in one construction.  :func:`build_critical_path` then walks the
 pairs of P_n once, placing each gap's central point and Fatou intervals
 beside the pair, so the path's markers follow from each point's position.
-A path is printed from plain tuples; its ``PathPoint`` objects are lazy.
+A path is one plain tuple per point, and it is printed from those tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
 from typing import List, Optional, Tuple
 
 from .errors import (DepthBudgetExceeded, NotStarPeriodic,
@@ -33,39 +31,6 @@ from .symbolic import (EPSeq, INF, KneadingSequence, STAR, format_sequence,
 # `htree path` output takes about 0.8 s and 136 MB as text, and 2.1 s and
 # 244 MB as JSON, on a 2-vCPU machine
 MAX_PATH_POINTS = 2 ** 17 + 1
-
-
-@dataclass(frozen=True)
-class PathPoint:
-    """One point of the critical path, in path order.
-
-    kind is one of ``critical-point``, ``precritical``, ``critical-value``,
-    ``central`` (a gap's central itinerary), ``limit`` (the lower sequence
-    adjacent to ``nu``).  ``label`` is the exact dyadic parameter, or None
-    for limit points squeezed in without one.  ``word`` is the ``w`` of a
-    point ``w*nu`` (empty for ``*nu``), and None for the other kinds.
-
-    A point ``w*nu`` keeps only its word and ``nu``, and becomes a
-    sequence only when its ``seq`` is read; every other point keeps its
-    sequence as ``itinerary``.
-    """
-
-    kind: str
-    label: Optional[Fraction]
-    word: Optional[Tuple] = None
-    nu: Optional[KneadingSequence] = field(default=None, repr=False)
-    itinerary: Optional[EPSeq] = None
-
-    @property
-    def depth(self) -> Optional[int]:
-        """The position of the first wildcard of ``w*nu``."""
-        return None if self.word is None else len(self.word) + 1
-
-    @cached_property
-    def seq(self) -> EPSeq:
-        if self.word is None:
-            return self.itinerary
-        return precritical(self.word, self.nu)
 
 
 @dataclass(frozen=True)
@@ -102,14 +67,6 @@ class CriticalPath:
         den = self.scale << (kind == "central")
         shift = (num & -num or den).bit_length() - 1
         return num >> shift, den >> shift
-
-    @cached_property
-    def points(self) -> List[PathPoint]:
-        """The rows as :class:`PathPoint`, built on first read."""
-        ratio, nu = self.ratio, self.nu
-        return [PathPoint(kind, None if num is None else Fraction(*ratio(kind, num)),
-                          word, None if word is None else nu, itinerary)
-                for kind, num, word, _, itinerary in self.rows]
 
 
 def _require_nontrivial(nu: KneadingSequence) -> None:
@@ -167,7 +124,7 @@ class _Words:
         = -1`` for nu).  So each distinct m is scanned once, to a bound
         that depends on m alone: for exact nu both sides repeat with nu's
         period past ``1 + |pre|``, so one more period settles it; for a
-        prefix nu the scan stops at the shorter side, as ``diff_within``.
+        prefix nu the scan stops at the shorter side, as ``diff`` does.
         A word's text is its letters, each after the degree's :func:`letter_sep`;
         the text of ``m'`` is kept beside it, so the new text is one concatenation.
         """
@@ -369,7 +326,7 @@ def path_table(path: CriticalPath) -> str:
     """One row per point in path order: kind, depth, word w, dyadic label,
     gap/Fatou markers.  Column order fixed.
 
-    It prints the rows, so it builds no PathPoint or Fraction and joins no
+    It prints the rows: it builds no sequence or Fraction and joins no
     word.  The markers follow from the order of :func:`build_critical_path`:
     the sides of a central point are gap boundaries, and the central point,
     its sides, the limit point and the nu after it are Fatou ends."""

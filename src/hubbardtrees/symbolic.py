@@ -287,24 +287,15 @@ def diff(a: EPSeq, b: EPSeq):
     differ; the wildcard matches everything.  INF when no such index.
 
     For truncated inputs, INF only means "no difference within the shared
-    trustworthy window"; use :func:`diff_within` to get the window size.
+    trustworthy window", the shortest truncation's letters.
     """
-    return diff_within(a, b)[0]
-
-
-def diff_within(a: EPSeq, b: EPSeq):
-    """``(value, window)``: the first-difference position if it occurs
-    within the trustworthy window, else (INF, window); window is INF when
-    both inputs are exact, else the shortest truncation's length."""
     if a.degree != b.degree:
         raise WrongDegree("diff requires sequences over the same alphabet")
-    window = (INF if a.exact and b.exact
-              else min(len(s.pre) for s in (a, b) if not s.exact))
     n = _bound(a, b)
     for i, (x, y) in enumerate(zip(a.letters(n), b.letters(n)), 1):
         if x is not y and x != y and x is not STAR and y is not STAR:
-            return i, window
-    return INF, window
+            return i
+    return INF
 
 
 # ---------------------------------------------------------------------------

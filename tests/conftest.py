@@ -1,10 +1,11 @@
 """Helpers shared by the test modules."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from hubbardtrees.symbolic import EPSeq, STAR, validate_kneading
+from hubbardtrees.symbolic import EPSeq, STAR, precritical, validate_kneading
 
 
 def star_periodic_sequences(pmax, pmin=2, degree=2):
@@ -13,6 +14,14 @@ def star_periodic_sequences(pmax, pmin=2, degree=2):
     for p in range(pmin, pmax + 1):
         for bits in itertools.product(range(degree), repeat=p - 2):
             yield validate_kneading(EPSeq((), (1,) + bits + (STAR,), degree))
+
+
+def path_points(path):
+    """``(kind, label, seq)`` per row of a critical path: the label as a
+    Fraction or None, and the point's sequence, ``w*nu`` or its itinerary."""
+    return [(kind, None if num is None else Fraction(*path.ratio(kind, num)),
+             itinerary if w is None else precritical(w, path.nu))
+            for kind, num, w, _, itinerary in path.rows]
 
 
 @pytest.fixture

@@ -30,11 +30,12 @@ from hubbardtrees.symbolic import (
     diff,
     format_sequence,
     kneading,
+    precritical,
     validate_kneading,
 )
 from hubbardtrees.treebuild import build_tree, meet, sigma_closure
 
-from conftest import star_periodic_sequences
+from conftest import path_points, star_periodic_sequences
 
 ALPHA = EPSeq((), (1,))
 
@@ -49,7 +50,7 @@ def _pass(cid, msg):
 def test_criterion_01_basilica():
     kn = kneading("(1*)")
     path = build_critical_path(kn, 6)
-    pn = [pt.seq for pt in path.points if pt.kind != "central"]
+    pn = [s for kind, _, s in path_points(path) if kind != "central"]
     assert pn == [kn.critical_point(), kn.seq]
     assert len(path.gaps) == 1
     assert path.gaps[0].central == ALPHA
@@ -79,7 +80,7 @@ def test_criterion_02_precritical_counts(text):
     # pair gets no midpoint, so |P_{n+1}| = 2|P_n| - 1 - #gaps(P_n)
     kn = kneading(text)
     stages = [build_pn(kn, n) for n in range(1, 11)]
-    counts = [len(path.points) for path in stages]
+    counts = [len(path.rows) for path in stages]
     n_gaps = [len(path.gaps) for path in stages]
     first_gap = next((n for n, g in enumerate(n_gaps, 1) if g), None)
     assert first_gap == FIRST_GAP[text], (text, n_gaps)
@@ -102,7 +103,7 @@ def test_criterion_02_precritical_counts(text):
     assert gap.central == omega == EPSeq((), (1, 0, 0))
     for path in stages[first_gap - 1:]:
         # nothing is ever inserted between sigma^3 nu and nu
-        assert path.points[-2].seq == left and gap in path.gaps
+        assert precritical(path.rows[-2][2], kn) == left and gap in path.gaps
     assert all(c < f for c, f in zip(counts[first_gap:], formula[first_gap:]))
     _pass(2, f"{text} standard: |P_n| = 2^(n-1)+1 for n = 1..{first_gap}; "
              f"first gap at stage {first_gap} is (sigma^3 nu, nu) = "
@@ -118,7 +119,7 @@ def test_criterion_02_precritical_counts(text):
 def test_criterion_03_period4_bifurcation():
     kn = kneading("(101*)")
     path = build_pn(kn, 2)
-    names = [format_sequence(pt.seq) for pt in path.points]
+    names = [format_sequence(s) for *_, s in path_points(path)]
     assert names == ["(*101)", "(1*10)", "(101*)"]
     (gap,) = path.gaps
     assert gap.left == kn.seq.shift(2) and gap.right == kn.seq
@@ -365,7 +366,7 @@ def test_criterion_11_meet_oracle_equivalence():
     for text in texts:
         kn = kneading(text)
         assert not kn.star_periodic or not build_pn(kn, 8).gaps
-        pts = [(pt.label, pt.seq) for pt in build_pn(kn, 8).points]
+        pts = [(label, s) for _, label, s in path_points(build_pn(kn, 8))]
         assert len(pts) == 129  # includes *nu and nu
         for (la, a), (lb, b), (lc, c) in itertools.combinations(pts, 3):
             middle = sorted(((la, a), (lb, b), (lc, c)))[1][1]

@@ -495,6 +495,16 @@ def test_recurrence_staircase_never_deep():
     assert probe.witnessed_depth <= 1
 
 
+@pytest.mark.parametrize("kn,horizon,verdict", [
+    (feigenbaum(32), 16, "recurrence witnessed to depth 15 (valid to depth 16)"),
+    (staircase(15), 14, "recurrence witnessed to depth 1 (valid to depth 1)"),
+    (staircase(15), 20, "recurrence witnessed to depth 1 (valid to depth 0)"),
+])
+def test_recurrence_truncated_verdict_names_its_window(kn, horizon, verdict):
+    # a truncation is trusted only as far as its last shift reaches
+    assert recurrence_probe(kn, horizon).verdict == verdict
+
+
 def test_recurrence_periodic_verdict():
     probe = recurrence_probe(kneading("(10*)"), 5)
     assert probe.verdict == "periodic"

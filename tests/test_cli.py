@@ -11,11 +11,13 @@ import shlex
 import subprocess
 import sys
 import threading
+import types
 
 import mpmath
 import pytest
 
 from conftest import star_periodic_sequences
+import hubbardtrees
 from hubbardtrees import cli
 from hubbardtrees.cli import main
 
@@ -547,6 +549,18 @@ def test_subcommands_take_only_the_options_they_read(argv, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tree", "classify"])
+@pytest.mark.parametrize("option", [["--prefix"], ["--normalize"], ["--degree", "3"]])
+def test_generator_input_takes_no_sequence_options(command, option, capsys):
+    # every generator makes a degree-2 sequence, so none of these can act on it
+    argv = [command, "--gen", "staircase", "--depth", "6"]
+    assert main([*argv, *option]) == 2
+    assert capsys.readouterr() == ("", "error: --gen makes degree-2 sequences: it "
+                                       "takes no --prefix, --normalize or --degree "
+                                       "other than 2\n")
+    assert main([*argv, "--degree", "2"]) == 0
+
+
 def test_empty_address_is_a_bad_address(capsys):
     assert main(["address", "--from", ""]) == 2
     assert capsys.readouterr() == ("", "error: bad address ''\n")
@@ -829,3 +843,27 @@ def test_benchmark_imports_resolve(script):
             importlib.import_module(f"{module}.{name}")  # a submodule
     from hubbardtrees import MarkovData
     assert isinstance(MarkovData.matrix, property)
+
+
+# -- the public surface -------------------------------------------------------------------------
+
+
+def test_package_exports_a_fixed_list_of_names():
+    # adding or removing a public name is a deliberate edit of this list
+    names = sorted(name for name, value in vars(hubbardtrees).items()
+                   if not name.startswith("_")
+                   and not isinstance(value, types.ModuleType))
+    assert names == [
+        "BifurcationClass", "BranchPoint", "CriticalPath", "EPSeq",
+        "EmbeddingReport", "FatouInterval", "Gap", "HubbardTree",
+        "HubbardTreeError", "INF", "InternalAddress", "KneadingSequence",
+        "MarkovData", "OrbitReport", "RecurrenceProbe", "STAR", "alpha_point",
+        "angle_to_kneading", "build_critical_path", "build_pn", "build_tree",
+        "characteristic_point", "classify_bifurcation", "classify_orbit",
+        "core_entropy", "diff", "embedding_report", "enumerate_branch_points",
+        "format_sequence", "internal_address", "is_bifurcation", "kneading",
+        "kneading_from_address", "lower_sequence", "markov_data", "meet",
+        "parse_prefix", "parse_sequence", "path_table", "perron_root",
+        "precritical", "recurrence_probe", "tree_to_dot", "tree_to_json",
+        "tree_to_svg", "tree_to_text", "valency", "validate_kneading",
+    ]

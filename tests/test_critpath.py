@@ -40,7 +40,15 @@ from hubbardtrees.symbolic import (
     validate_kneading,
 )
 
-from conftest import star_periodic_sequences
+from conftest import path_points, star_periodic_sequences
+
+
+def _row_points(path):
+    """(kind, label, depth, word, itinerary) per row, as the reference keeps
+    its points: a point w*nu is its word, and its itinerary is None."""
+    return [(kind, None if num is None else Fraction(*path.ratio(kind, num)),
+             None if w is None else len(w) + 1, w, itinerary)
+            for kind, num, w, _, itinerary in path.rows]
 
 
 # -- an intentionally dumb independent oracle ---------------------------------
@@ -82,7 +90,7 @@ def _oracle_pn(nu_word, n):
 
 
 def test_airplane_p4_matches_hand_oracle():
-    lib = [pt.seq for pt in build_pn(kneading("(10*)"), 4).points]
+    lib = [s for *_, s in path_points(build_pn(kneading("(10*)"), 4))]
     oracle = _oracle_pn("10*", 4)
     assert len(lib) == len(oracle) == 9
     for seq, word in zip(lib, oracle):
@@ -99,7 +107,7 @@ def test_oracle_and_library_agree_on_more_stages():
     for text in ["(10*)", "1(0)", "(10110*)", "(1001*)", "(10010*)"]:
         kn = kneading(text)
         for n in (2, 3, 5):
-            lib = build_pn(kn, n).points
+            lib = [s for *_, s in path_points(build_pn(kn, n))]
             if kn.star_periodic:
                 word = "".join("*" if x is STAR else str(x) for x in kn.seq.per)
                 oracle = _oracle_pn(word, n)
@@ -107,9 +115,9 @@ def test_oracle_and_library_agree_on_more_stages():
                 pre = "".join(str(x) for x in kn.seq.pre)
                 oracle = _oracle_pn_pre(pre, "".join(str(x) for x in kn.seq.per), n)
             assert len(lib) == len(oracle)
-            for pt, word in zip(lib, oracle):
+            for seq, word in zip(lib, oracle):
                 for i in range(1, 40):
-                    a, b = pt.seq.at(i), word[i - 1]
+                    a, b = seq.at(i), word[i - 1]
                     assert str(a) == b
 def _oracle_pn_pre(pre, per, n):
     nu = _expand(pre, per)
@@ -209,7 +217,8 @@ def test_word_level_path_matches_per_symbol_reference():
         path = build_pn(kn, 8)
         seen, gapped = seen + 1, gapped + bool(path.gaps)
         rows, gaps = _ref_pn(kn, 8)
-        got = [(pt.seq, pt.label, pt.depth, pt.word) for pt in path.points]
+        got = [(s, label, depth, w) for (_, label, depth, w, _), (*_, s)
+               in zip(_row_points(path), path_points(path))]
         assert got == rows, str(kn)
         assert [(g.left, g.right, g.central) for g in path.gaps] == gaps, str(kn)
     assert (seen, gapped) == (375, 65)
@@ -217,14 +226,14 @@ def test_word_level_path_matches_per_symbol_reference():
 
 def test_point_budget(monkeypatch):
     monkeypatch.setattr(critpath, "MAX_PATH_POINTS", 13)
-    assert len(build_pn(kneading("(10*)"), 4).points) == 9
+    assert len(build_pn(kneading("(10*)"), 4).rows) == 9
     with pytest.raises(DepthBudgetExceeded):
         build_pn(kneading("(10*)"), 5)
     # gaps keep paths small: 13 points at stage 5, 21 at stage 6
-    assert len(build_pn(kneading("(10010*)"), 5).points) == 13
+    assert len(build_pn(kneading("(10010*)"), 5).rows) == 13
     with pytest.raises(DepthBudgetExceeded):
         build_pn(kneading("(10010*)"), 6)
-    assert len(build_pn(kneading("(1*)"), 40).points) == 2
+    assert len(build_pn(kneading("(1*)"), 40).rows) == 2
 
 
 # -- examples ------------------------------------------------------------------
@@ -234,7 +243,7 @@ def test_basilica_p_infinity_is_p1():
     kn = kneading("(1*)")
     for n in (1, 3, 7):
         path = build_pn(kn, n)
-        assert len(path.points) == 2
+        assert len(path.rows) == 2
         assert len(path.gaps) == 1
     g = build_pn(kn, 2).gaps[0]
     assert g.central == EPSeq((), (1,))
@@ -243,7 +252,7 @@ def test_basilica_p_infinity_is_p1():
 def test_period4_p2_and_gap():
     kn = kneading("(101*)")
     path = build_pn(kn, 2)
-    names = [format_sequence(pt.seq) for pt in path.points]
+    names = [format_sequence(s) for *_, s in path_points(path)]
     assert names == ["(*101)", "(1*10)", "(101*)"]
     (g,) = path.gaps
     assert (format_sequence(g.left), format_sequence(g.right)) == ("(1*10)", "(101*)")
@@ -264,7 +273,7 @@ def test_counts_no_gap_cases():
     for text in ["(10*)", "1(0)", "(10110*)"]:
         kn = kneading(text)
         for n in range(1, 11):
-            assert len(build_pn(kn, n).points) == 2 ** (n - 1) + 1, (text, n)
+            assert len(build_pn(kn, n).rows) == 2 ** (n - 1) + 1, (text, n)
 
 
 def test_counts_standard_bifurcation_drops_below_formula():
@@ -272,7 +281,7 @@ def test_counts_standard_bifurcation_drops_below_formula():
     # is not attained from stage 4 on (here: Fibonacci growth instead);
     # the independent string oracle agrees
     kn = kneading("(10010*)")
-    counts = [len(build_pn(kn, n).points) for n in range(1, 9)]
+    counts = [len(build_pn(kn, n).rows) for n in range(1, 9)]
     assert counts == [2, 3, 5, 8, 13, 21, 34, 55]
     assert [len(_oracle_pn("10010*", n)) for n in range(1, 9)] == counts
 
@@ -281,17 +290,18 @@ def test_inserted_depth_exceeds_neighbours():
     kn = kneading("(10*)")
     stages = [build_pn(kn, n) for n in range(1, 7)]
     for prev, cur in zip(stages, stages[1:]):
-        old = {pt.seq for pt in prev.points}
-        pos = {pt.seq: i for i, pt in enumerate(cur.points)}
-        depth = {pt.seq: (pt.depth if pt.depth is not None else 0)
-                 for pt in cur.points}
-        for pt in cur.points:
-            if pt.seq in old:
+        old = {s for *_, s in path_points(prev)}
+        seqs = [s for *_, s in path_points(cur)]
+        pos = {s: i for i, s in enumerate(seqs)}
+        depth = {s: (d if d is not None else 0)
+                 for s, (_, _, d, _, _) in zip(seqs, _row_points(cur))}
+        for s in seqs:
+            if s in old:
                 continue
-            i = pos[pt.seq]
-            left, right = cur.points[i - 1].seq, cur.points[i + 1].seq
+            i = pos[s]
+            left, right = seqs[i - 1], seqs[i + 1]
             floor = max(depth.get(left, 0), depth.get(right, 0))
-            assert depth[pt.seq] >= floor + 1
+            assert depth[s] >= floor + 1
 
 
 def test_gaps_iff_standard_bifurcation_period_le_8():
@@ -330,7 +340,7 @@ def _eventually_periodic(degree, maxpre, maxper):
 
 def _reference_gaps(path):
     """The full pair scan: every adjacent pair of P_n without a difference."""
-    pts = [pt.seq for pt in path.points]
+    pts = [s for *_, s in path_points(path)]
     return [(a, b) for a, b in zip(pts, pts[1:]) if diff(a, b) is INF]
 
 
@@ -351,8 +361,9 @@ def test_shift_distance_never_multiple_of_period():
     for kn in star_periodic_sequences(7):
         p = kn.period
         path = build_pn(kn, 6)
-        for a, b in zip(path.points, path.points[1:]):
-            da, db = a.seq.star_depth(), b.seq.star_depth()
+        pts = [s for *_, s in path_points(path)]
+        for a, b in zip(pts, pts[1:]):
+            da, db = a.star_depth(), b.star_depth()
             if da is None or db is None:
                 continue
             t = abs(da - db)
@@ -363,7 +374,7 @@ def test_shift_distance_never_multiple_of_period():
 def test_labels_strictly_increasing_midpoint_rule():
     kn = kneading("(10*)")
     path = build_pn(kn, 6)
-    labels = [pt.label for pt in path.points]
+    labels = [label for _, label, _ in path_points(path)]
     assert all(a < b for a, b in zip(labels, labels[1:]))
     # stage n realizes all dyadics m / 2^(n-1) for no-gap sequences
     assert {lab.denominator for lab in labels} <= {1, 2, 4, 8, 16, 32}
@@ -413,7 +424,7 @@ def test_lower_sequence_requires_star_periodic():
 def test_basilica_critical_path_is_two_fatou_intervals():
     kn = kneading("(1*)")
     path = build_critical_path(kn, 4)
-    kinds = [(format_sequence(pt.seq), pt.kind) for pt in path.points]
+    kinds = [(format_sequence(s), kind) for kind, _, s in path_points(path)]
     assert kinds == [("(*1)", "critical-point"), ("(1)", "central"),
                      ("(1*)", "critical-value")]
     ivs = {(format_sequence(f.a), format_sequence(f.b)) for f in path.fatou}
@@ -427,13 +438,13 @@ def test_airplane_path_has_omega_interval():
     assert len(path.fatou) == 1
     f = path.fatou[0]
     assert format_sequence(f.a) == "(101)" and f.b == kn.seq
-    assert path.points[-2].kind == "limit"
+    assert path.rows[-2][0] == "limit"
 
 
 def test_nonperiodic_path_has_no_fatou():
     path = build_critical_path(kneading("1(0)"), 5)
     assert not path.fatou and not path.gaps
-    assert len(path.points) == 17
+    assert len(path.rows) == 17
 
 
 def test_trivial_sequence_rejected():
@@ -480,7 +491,7 @@ def test_path_builds_no_sequence_per_point(constructions):
     path = build_critical_path(nu, 12)
     path_table(path)
     assert constructions[0] < 64
-    assert len(path.points) > 2000
+    assert len(path.rows) > 2000
 
 
 def test_point_sequences_are_built_on_read():
@@ -488,19 +499,9 @@ def test_point_sequences_are_built_on_read():
         nu = kneading(text)
         path = build_critical_path(nu, 7)
         s = nu.seq
-        for pt in path.points:
-            if pt.word is not None:
-                assert pt.seq is precritical(pt.word, nu)
-                assert pt.seq is EPSeq(pt.word + (STAR,) + s.pre, s.per, 2)
-
-
-def test_path_points_compare_by_value():
-    nu = kneading("(1011*)")
-    a, b = build_pn(nu, 6).points, build_pn(nu, 6).points
-    for pt in a:
-        pt.seq  # reading seq leaves equality and hash alone
-    assert a == b and list(map(hash, a)) == list(map(hash, b))
-    assert a[0] != build_pn(kneading("(10*)"), 6).points[0]  # *nu of another nu
+        for _, _, w, _, _ in path.rows:
+            if w is not None:
+                assert precritical(w, nu) is EPSeq(w + (STAR,) + s.pre, s.per, 2)
 
 
 # -- the tail split, against the whole-word split it replaced ---------------------
@@ -602,8 +603,8 @@ def test_tail_split_matches_whole_word_split():
         seen += 1
         path = build_pn(kn, 10)
         points, gaps = _whole_word_pn(kn, 10)
-        got = [(pt.word, pt.label.numerator * (512 // pt.label.denominator))
-               for pt in path.points]
+        got = [(w, label.numerator * (512 // label.denominator))
+               for _, label, _, w, _ in _row_points(path)]
         assert got == points, str(kn)
         assert [(g.left, g.right, g.central) for g in path.gaps] == gaps, str(kn)
         gapped += bool(gaps)
@@ -626,11 +627,11 @@ def test_tail_split_scans_each_tail_once(monkeypatch):
 
     split = critpath._split
     monkeypatch.setattr(critpath, "_split", counting)
-    assert len(build_pn(kneading("(10*)"), 12).points) == 2049
+    assert len(build_pn(kneading("(10*)"), 12).rows) == 2049
     assert len(scans) < 64  # the whole-word split scanned 4,095 pairs
     scans.clear()
     path = build_pn(kneading("(10010*)"), 12)
-    assert (len(path.points), len(path.gaps)) == (377, 143)
+    assert (len(path.rows), len(path.gaps)) == (377, 143)
     assert len(scans) < 64
 
 
@@ -785,11 +786,11 @@ def _one_pass_inputs():
         yield kn, (1, 3, 6)
 
 
-def test_one_pass_path_matches_key_matching_passes():
-    def points(path):  # a point w*nu is its word: itinerary is None
-        return [(pt.kind, pt.label, pt.depth, pt.word, pt.itinerary)
-                for pt in path.points]
+def _keyed_points(ref):
+    return [(pt.kind, pt.label, pt.depth, pt.word, pt.itinerary) for pt in ref.points]
 
+
+def test_one_pass_path_matches_key_matching_passes():
     seen = gapped = limited = 0
     for kn, stages in _one_pass_inputs():
         if kn.trivial:
@@ -797,7 +798,7 @@ def test_one_pass_path_matches_key_matching_passes():
         for n in stages:
             seen += 1
             path, ref = build_critical_path(kn, n), _keyed_critical_path(kn, n)
-            assert points(path) == points(ref), (str(kn), n)
+            assert _row_points(path) == _keyed_points(ref), (str(kn), n)
             assert path.gaps == ref.gaps, (str(kn), n)
             assert path.fatou == ref.fatou, (str(kn), n)
             assert path_table(path) == _keyed_path_table(ref), (str(kn), n)
@@ -809,8 +810,8 @@ def test_one_pass_path_matches_key_matching_passes():
 # -- the table printed from rows ----------------------------------------------------
 #
 # build_critical_path keeps each point as a tuple with its label's numerator
-# and its word's text; path_table and JSON path print those, and PathPoint
-# and Fraction are built only when path.points is read.
+# and its word's text; path_table and JSON path print those.  A label is a
+# Fraction only where a caller makes one, from CriticalPath.ratio.
 
 
 def test_labels_print_from_numerators(capsys):
@@ -831,43 +832,22 @@ def test_labels_print_from_numerators(capsys):
         assert main(["path", "--nu", text, "--depth", str(n), "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["points"]
         table = path_table(path).splitlines()[1:]
-        assert len(rows) == len(table) == len(path.points)
-        for pt, row, line in zip(path.points, rows, table):
-            label = pt.label
+        assert len(rows) == len(table) == len(path.rows)
+        for (_, label, *_), row, line in zip(_row_points(path), rows, table):
             assert row["label"] == (None if label is None else str(label))
             assert line.split()[4] == ("-" if label is None else
                                        f"{label.numerator}/{label.denominator}")
 
 
-def test_path_table_builds_no_point(monkeypatch):
-    inits, fractions = [], []
-    init = critpath.PathPoint.__init__
-
-    def counting_init(self, *args, **kwargs):
-        inits.append(args)
-        init(self, *args, **kwargs)
-
-    def counting_fraction(*args):
-        fractions.append(args)
-        return Fraction(*args)
-
-    monkeypatch.setattr(critpath.PathPoint, "__init__", counting_init)
-    monkeypatch.setattr(critpath, "Fraction", counting_fraction)
+def test_path_table_builds_no_point():
     kns = [kneading(text) for text in ("(10*)", "(10010*)", "(1011*)", "10(011)")]
     kns += [kneading("[|1,12,11,*]", INF), kneading("[1,7|3,2]", INF),
             validate_kneading(parse_prefix("1011011100")), make("feigenbaum", depth=12)]
     for kn in kns:
         path = build_critical_path(kn, 10)
-        table = path_table(path)
-        assert (inits, fractions) == ([], []), str(kn)
         ref = _keyed_critical_path(kn, 10)
-        assert table == _keyed_path_table(ref), str(kn)
-        assert [(pt.kind, pt.label, pt.depth, pt.word, pt.itinerary)
-                for pt in path.points] == [(pt.kind, pt.label, pt.depth, pt.word,
-                                            pt.itinerary) for pt in ref.points], str(kn)
-        assert len(inits) == len(path.rows), str(kn)
-        inits.clear()
-        fractions.clear()
+        assert path_table(path) == _keyed_path_table(ref), str(kn)
+        assert _row_points(path) == _keyed_points(ref), str(kn)
 
 
 def test_path_scans_each_tail_once(monkeypatch):

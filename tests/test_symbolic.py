@@ -25,7 +25,6 @@ from hubbardtrees.symbolic import (
     STAR,
     angle_to_kneading,
     diff,
-    diff_within,
     format_sequence,
     is_bifurcation,
     kneading,
@@ -125,8 +124,6 @@ def test_diff_degree_mismatch():
     for x, y in ((a, b), (a, parse_prefix("10", 3)), (parse_prefix("10", 2), b)):
         with pytest.raises(WrongDegree):
             diff(x, y)
-        with pytest.raises(WrongDegree):
-            diff_within(x, y)
 
 
 # -- kneading validation ---------------------------------------------------------

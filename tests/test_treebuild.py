@@ -48,7 +48,7 @@ from hubbardtrees.treebuild import (
     vertex_order,
 )
 
-from conftest import star_periodic_sequences
+from conftest import path_points, star_periodic_sequences
 
 fs = format_sequence
 
@@ -80,7 +80,7 @@ def test_meet_evil_branch_point():
 def test_meet_symmetric():
     rng = random.Random(7)
     kn = kneading("(1001*)")
-    pool = [pt.seq for pt in build_pn(kn, 5).points]
+    pool = [s for *_, s in path_points(build_pn(kn, 5))]
     pool += [lower_sequence(kn)]
     for _ in range(40):
         x, y, z = rng.sample(pool, 3)
@@ -92,7 +92,7 @@ def test_meet_matches_path_order_scan():
     # on the critical path the tripod meet is the middle point in path order
     for text in ["(10*)", "1(0)"]:
         kn = kneading(text)
-        pts = [(pt.label, pt.seq) for pt in build_pn(kn, 6).points]
+        pts = [(label, s) for _, label, s in path_points(build_pn(kn, 6))]
         rng = random.Random(3)
         for _ in range(300):
             (la, a), (lb, b), (lc, c) = rng.sample(pts, 3)
@@ -102,7 +102,7 @@ def test_meet_matches_path_order_scan():
 
 def test_meet_of_star_side_points_is_starnu_for_critical_anchor():
     kn = kneading("(10*)")
-    pts = [pt.seq for pt in build_pn(kn, 8).points]
+    pts = [s for *_, s in path_points(build_pn(kn, 8))]
     for x in pts:
         assert meet(kn.critical_point(), x, kn.seq, kn) == x
 
