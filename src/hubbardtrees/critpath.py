@@ -107,10 +107,11 @@ class _Words:
         self.sep = letter_sep(s.degree)
         self.tails = {}
 
-    def split(self, wa, wb, ta="", tb="") -> Tuple:
+    def split(self, wa, wb, ta=None, tb=None) -> Tuple:
         """:func:`_split` of ``w_a*nu`` and ``w_b*nu``, in either order,
         where the newer point was inserted beside the older one, as ``(k,
-        word, text)``: ta and tb are the texts of w_a and w_b.
+        word, text)``: ta and tb are the texts of w_a and w_b, and text is
+        None when the newer point's text is not passed.
 
         Let ``c = w*nu`` be inserted between a and b, with ``k = diff(a,
         b) = |w| + 1``.  Before position k, c reads w, the letters forced
@@ -127,6 +128,9 @@ class _Words:
         prefix nu the scan stops at the shorter side, as ``diff`` does.
         A word's text is its letters, each after the degree's :func:`letter_sep`;
         the text of ``m'`` is kept beside it, so the new text is one concatenation.
+        A scan joins that text only for a caller that passes one, which is
+        enough because within one construction the stage loop, the only
+        caller that prints, runs before every caller that does not.
         """
         if wb is not None and (wa is None or len(wa) < len(wb)):
             wa, wb, ta = wb, wa, tb  # wa is the newer point
@@ -138,10 +142,12 @@ class _Words:
             tail = self.seq.letters(m + self.reach)[m:]
             k, letters = _split(
                 tail, self.crit, self.reach if self.seq.exact else len(tail))
-            hit = self.tails[m] = (k, letters,
-                                   "".join(self.sep + str(x) for x in letters))
+            text = None if ta is None else "".join(self.sep + str(x) for x in letters)
+            hit = self.tails[m] = (k, letters, text)
         k, letters, text = hit
-        return (k if k is INF else d + k), wa + letters, ta + text
+        if ta is not None:
+            ta += text
+        return (k if k is INF else d + k), wa + letters, ta
 
     def central(self, letters: Tuple) -> EPSeq:
         """The central itinerary of an exact gap pair from the letters of

@@ -11,7 +11,10 @@ point when two distinct truncations read the wildcard together.
 
 A truncation is one point with every point whose itinerary extends it or
 is extended by it (``same_point``); the insertion walk tests this only at
-the vertex where it stops, and so names that vertex in a tie.
+the vertex where it stops, and so names that vertex in a tie.  A walk on
+an exact tree starts at the critical point ``*nu``, in the middle of the
+tree, and a walk on a truncated tree at the endpoint ``nu``, which is what
+makes its tie the vertex the walk stops at.
 
 For star-periodic kneading sequences the lower sequence's orbit is
 inserted as well; an edge is a Fatou interval exactly when its endpoints
@@ -68,6 +71,11 @@ def meet(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> EPSeq:
     longest preperiod.  Every cycle of states holds such a step, so the
     walk stops one cycle after the first state it records on the cycle,
     while short walks (most end at the critical point) record nothing.
+    A recurrence returns the input it repeats, if one has never read the
+    wildcard: a replacement puts in *nu, which reads it next, so that
+    input was never replaced, emitted its own letters and is the answer
+    ``w[:prev] (w[prev:])^inf``, already interned.  Two such inputs would
+    be one point, which ends the walk at its first step.
 
     Truncated input (a prefix point, or a prefix nu) walks the same way
     and has three more exits, each returning what the trusted symbols
@@ -102,6 +110,7 @@ def meet(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> EPSeq:
     # as a temporary would be freed once a, b and c are rebound below;
     # args keeps the inputs, and through their tails every later slot.
     args = (a, b, c)
+    pure = 7  # bit 1 << i: slot i has not read the wildcard yet
     seen: dict = {}
     steps = 0
     while True:
@@ -130,14 +139,21 @@ def meet(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> EPSeq:
                 key = (id(a), id(b), id(c))
                 prev = seen.get(key)
                 if prev is not None:
+                    if pure:
+                        # a pure slot emitted its own letters and its state
+                        # repeats, so it is w[:prev] (w[prev:])^inf itself
+                        return args[pure >> 1]
                     return EPSeq(tuple(w[:prev]), tuple(w[prev:]), degree)
                 seen[key] = len(w)
             if ha is star:
                 x, y = hb, hc
+                pure &= 6
             elif hb is star:
                 x, y = ha, hc
+                pure &= 5
             else:
                 x, y = ha, hb
+                pure &= 3
             if x is star or y is star:
                 # two distinct slots at the critical point: only truncated
                 # points can be, and the tripod is degenerate
@@ -316,10 +332,18 @@ class HubbardTree:
         test_walk_stops_at_the_vertex_the_scan_finds guards it with a
         scan of every vertex beside each walk.  In a tie (see
         ``same_point``) p is the vertex the walk stops at.
+
+        That argument is made for a walk from the endpoint nu, where every
+        walk on a truncated tree starts.  On an exact tree each point is
+        one interned object with one place, which a walk finds from any
+        vertex, so it starts at *nu: nu is an endpoint, *nu sits in the
+        middle, and a wrong direction at *nu costs a one-step meet, since
+        the first letters differ.  A walk from *nu may name an edge in the
+        other orientation than one from nu would.
         """
         if p in self.adj:
             return ("existing", p)
-        cur = self.nu
+        cur = self.crit if self.nu.exact else self.nu
         prev = None
         cap = 4 * len(self.adj) + 8
         for _ in range(cap):
