@@ -32,7 +32,7 @@ from .symbolic import (
     is_bifurcation,
     validate_kneading,
 )
-from .treebuild import HubbardTree, build_tree, markov_data, meet, sigma_closure
+from .treebuild import HubbardTree, build_tree, markov_data, sigma_closure
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +46,6 @@ class ValencyReport:
     vertices_used: int
 
 
-def _closed_with(tree: HubbardTree, points: Sequence[EPSeq]) -> HubbardTree:
-    """A copy of the tree with the points inserted, closed if finite."""
-    t = tree.copy()
-    for s in points:
-        t.insert_point(s)
-    return sigma_closure(t) if t.finite else t
-
-
 def valency(tree: HubbardTree, tau: EPSeq) -> ValencyReport:
     """Number of global arms at tau in the tree spanned by the critical
     orbit and the orbit of tau.
@@ -62,7 +54,7 @@ def valency(tree: HubbardTree, tau: EPSeq) -> ValencyReport:
     postcritical, so the critical-orbit span already separates all arms;
     the count is exact in finite mode and depth-limited otherwise.
     """
-    t = _closed_with(tree, [tau])
+    t = sigma_closure(tree, [tau])
     return ValencyReport(value=t.degree_of(tau), stable=t.finite,
                          vertices_used=len(t.adj))
 
@@ -104,29 +96,27 @@ class OrbitReport:
     kind: str  # "endpoints" | "primitive" | "satellite" | "evil"
 
 
-def _orbit_of(tau: EPSeq) -> List[EPSeq]:
+def _orbit_of(nu: KneadingSequence, tau: EPSeq) -> List[EPSeq]:
+    """The orbit of tau, which must be periodic and off nu's orbit."""
+    if tau.contains_star() or any(s == tau for s in nu.seq.orbit()):
+        raise CriticalOrbit("the critical orbit itself is not classified here")
     if tau.pre:
         raise CriticalOrbit("orbit classification requires a periodic point")
     return tau.orbit()
 
 
-def _check_not_critical(nu: KneadingSequence, tau: EPSeq) -> None:
-    if tau.contains_star() or any(s == tau for s in nu.seq.orbit()):
-        raise CriticalOrbit("the critical orbit itself is not classified here")
-
-
-def characteristic_point(nu: KneadingSequence, tau: EPSeq) -> Optional[EPSeq]:
-    """The orbit point separating its whole orbit and the critical point
-    from the critical value, verified exhaustively; None for orbits of
-    endpoints."""
-    _check_not_critical(nu, tau)
-    orbit = _orbit_of(tau)
-    crit = nu.critical_point()
-    for cand in orbit:
-        others = [s for s in orbit if s != cand] + [crit]
-        if all(meet(nu.seq, cand, rho, nu) == cand for rho in others):
-            return cand
-    return None
+def characteristic_point(tree: HubbardTree, tau: EPSeq) -> Optional[EPSeq]:
+    """The orbit point nearest nu on the path to *nu, if every other orbit
+    point lies beyond it, so that it separates the orbit and *nu from nu;
+    None otherwise, as for orbits of endpoints.  Read off the tree, with
+    the orbit inserted if the tree does not hold it."""
+    orbit = _orbit_of(tree.kneading, tau)
+    if not all(s in tree.adj for s in orbit):
+        tree = sigma_closure(tree, orbit)
+    path = tree.path_between(tree.nu, tree.crit)
+    char = next((v for v in path if v in orbit), None)
+    beyond = all(char in tree.path_between(tree.nu, s) for s in orbit)
+    return char if beyond else None
 
 
 def classify_orbit(tree: HubbardTree, tau: EPSeq) -> OrbitReport:
@@ -142,16 +132,15 @@ def _classify_in(tree: HubbardTree, tau: EPSeq) -> OrbitReport:
     nu = tree.kneading
     if not nu.exact:
         raise DepthBudgetExceeded("orbit classification needs an exact nu")
-    _check_not_critical(nu, tau)
-    orbit = _orbit_of(tau)
+    orbit = _orbit_of(nu, tau)
     period = len(orbit)
-    tree = _closed_with(tree, orbit)
+    tree = sigma_closure(tree, orbit)
 
     if all(tree.degree_of(s) == 1 for s in orbit):
         return OrbitReport(characteristic=None, period=period, arms=1,
                            kind="endpoints")
 
-    char = characteristic_point(nu, tau)
+    char = characteristic_point(tree, tau)
     if char is None:
         raise MeetInconsistency("non-endpoint orbit without characteristic point")
     arms = tree.degree_of(char)
@@ -204,7 +193,7 @@ def enumerate_branch_points(tree: HubbardTree) -> List[BranchPoint]:
     is classified once, on the closed tree or, for a truncated tree of an
     exact sequence, on the auto-mode tree, even one that stays truncated.
     Results from a truncated tree carry the depth_limited flag."""
-    t = sigma_closure(tree) if tree.finite else tree
+    t = sigma_closure(tree)
     nu = t.kneading
     limited = not tree.finite
     host = t if tree.finite else None  # built only when an orbit needs it
@@ -275,7 +264,8 @@ def internal_address(s, max_entries: int = 32) -> InternalAddress:
     S_{n+1} is the first position where the sequence leaves the
     S_n-periodic pattern of its own prefix.  Comparisons treat the
     wildcard as different from both letters, so a star-periodic sequence
-    of period p has a finite address ending in p.
+    of period p has a finite address ending in p, given in full; any
+    other address stops after max_entries entries.
     """
     if isinstance(s, KneadingSequence):
         if s.trivial:
@@ -288,6 +278,8 @@ def internal_address(s, max_entries: int = 32) -> InternalAddress:
     if s.head != 1:
         raise BadLeadingSymbol("internal addresses need sequences starting with 1")
 
+    if s.exact and s.pure_periodic and s.star_depth() == len(s.per):
+        max_entries = math.inf  # star-periodic: at most p entries
     entries = [1]
     while len(entries) < max_entries:
         nxt = _rho(s, entries[-1])

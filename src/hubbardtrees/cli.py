@@ -181,8 +181,8 @@ def classification_report(kn: KneadingSequence, n=None, max_points=64) -> dict:
     else:
         report["bifurcation"] = None
 
-    # closed once here, so the closures inside the calls below add nothing
-    tree = sigma_closure(tree) if tree.finite else tree
+    # closed once here, so the closures inside the calls below copy nothing
+    tree = sigma_closure(tree)
     orbits = []
     listed = set()
     if tree.omega is not None:
@@ -260,12 +260,10 @@ def cmd_address(args) -> str:
         addr = internal_address(seq, max_entries=args.max_entries)
     else:
         addr = internal_address(resolve_input(args), max_entries=args.max_entries)
-    text = " -> ".join(str(e) for e in addr.entries)
-    if not addr.finite and addr.valid_to is not None:
-        text += f"  (truncated input, valid to depth {addr.valid_to})"
-    elif not addr.finite:
-        text += " -> ..."
-    return text + "\n"
+    if addr.valid_to is None:
+        return f"{addr}\n"
+    return (" -> ".join(map(str, addr.entries))
+            + f"  (truncated input, valid to depth {addr.valid_to})\n")
 
 
 def cmd_entropy(args) -> str:

@@ -36,10 +36,10 @@ def feigenbaum(depth: int) -> KneadingSequence:
 
 def make(name: str, *, depth: int = 16, params: str = "") -> KneadingSequence:
     """Generator dispatch for `--gen NAME` / `--gen NAME=PARAMS`."""
-    if name == "staircase":
-        return staircase(depth)
-    if name == "feigenbaum":
-        return feigenbaum(depth)
+    if name in ("staircase", "feigenbaum"):
+        if params:
+            raise SequenceParseError(f"{name} takes no parameters, got {params!r}")
+        return staircase(depth) if name == "staircase" else feigenbaum(depth)
     if name == "address":
         try:
             entries = [int(x) for x in params.split(",") if x.strip()]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .critpath import lower_sequence
 from .errors import (
@@ -505,11 +505,20 @@ class MarkovData:
 _CLOSURE_CAP = 4096  # vertices; a closure past this is a bug, not an input
 
 
-def sigma_closure(tree: HubbardTree) -> HubbardTree:
-    """The tree itself if its vertex set and postcritical labels are
-    closed under the shift, else a closed copy (the input is untouched)."""
+def sigma_closure(tree: HubbardTree, points: Sequence[EPSeq] = ()
+                  ) -> HubbardTree:
+    """The tree with the points inserted and, if it is finite, its vertex
+    set and postcritical labels closed under the shift; a truncated tree
+    gets the points but is not closed.  The tree itself if that changes
+    nothing, else a copy made at the first change (the input is
+    untouched)."""
     t = tree
-    stable = False
+    for s in points:
+        if s not in t.adj:
+            if t is tree:
+                t = tree.copy()
+            t.insert_point(s)
+    stable = not t.finite
     while not stable:
         stable = True
         for v in list(t.adj):

@@ -42,9 +42,9 @@ from hubbardtrees.symbolic import (
     parse_sequence,
     validate_kneading,
 )
-from hubbardtrees.treebuild import build_tree
+from hubbardtrees.treebuild import HubbardTree, build_tree, meet, sigma_closure
 
-from conftest import star_periodic_sequences
+from conftest import kernel_corpus, star_periodic_sequences
 
 fs = format_sequence
 ALPHA = EPSeq((), (1,))
@@ -75,25 +75,80 @@ def test_valency_critical_value_is_one():
 def test_characteristic_period2_orbit():
     kn = kneading("(101*)")
     tau = EPSeq((), (0, 1))  # enter through the non-characteristic point
-    ch = characteristic_point(kn, tau)
+    ch = characteristic_point(build_tree(kn), tau)
     assert ch == EPSeq((), (1, 0))
 
 
 def test_characteristic_evil():
     kn = kneading("(10110*)")
-    assert characteristic_point(kn, EPSeq((), (1, 0, 1))) == EPSeq((), (1, 0, 1))
+    tau = EPSeq((), (1, 0, 1))
+    assert characteristic_point(build_tree(kn), tau) == tau
 
 
 def test_characteristic_fixed_point():
     kn = kneading("(11*)")
-    assert characteristic_point(kn, ALPHA) == ALPHA
+    assert characteristic_point(build_tree(kn), ALPHA) == ALPHA
 
 
 def test_characteristic_none_for_endpoint_orbit():
     # the fixed point ovl(0) attaches beyond the critical point: an
     # endpoint, so no orbit point separates it from the critical value
     kn = kneading("(10*)")
-    assert characteristic_point(kn, EPSeq((), (0,))) is None
+    assert characteristic_point(build_tree(kn), EPSeq((), (0,))) is None
+
+
+def _meet_characteristic_point(kn, tau):
+    """The reference: the orbit point cand with meet(nu, cand, rho) ==
+    cand for every other orbit point rho and for *nu, tried point by
+    point; None if no point passes."""
+    orbit = tau.orbit()
+    crit = kn.critical_point()
+    for cand in orbit:
+        others = [s for s in orbit if s != cand] + [crit]
+        if all(meet(kn.seq, cand, rho, kn) == cand for rho in others):
+            return cand
+    return None
+
+
+def test_characteristic_point_reads_the_tree_as_the_meets_do():
+    # tau runs over the periodic vertices of the closed tree, which it
+    # holds, and over every periodic word of period <= 4 in the letters
+    # of nu, most of which it does not
+    answers = {True: 0, False: 0}
+    for kn in kernel_corpus():
+        tree = sigma_closure(build_tree(kn))
+        letters = sorted({x for x in kn.seq.pre + kn.seq.per if x is not STAR}
+                         | set(range(2 if kn.degree is INF else kn.degree)))
+        taus = {EPSeq((), w, kn.degree) for n in range(1, 5)
+                for w in itertools.product(letters, repeat=n)}
+        taus |= {v for v in tree.vertices()
+                 if v.exact and not v.pre and not v.contains_star()}
+        for tau in sorted(taus, key=fs):
+            if tau in kn.seq.orbit():
+                with pytest.raises(CriticalOrbit):
+                    characteristic_point(tree, tau)
+                continue
+            got = characteristic_point(tree, tau)
+            assert got == _meet_characteristic_point(kn, tau), (str(kn), fs(tau))
+            answers[got is None] += 1
+    assert answers[True] > 0 and answers[False] > 0
+
+
+@pytest.mark.parametrize("side", ["nu", "crit"])
+def test_characteristic_point_needs_the_rest_of_the_orbit_beyond_it(side):
+    # On every Hubbard tree tried, the orbit point nearest nu on the path
+    # to *nu has the rest of its orbit beyond it, so the comparison with
+    # the meets cannot tell whether that is checked.  This tree is made
+    # by hand: ovl(10) between nu and *nu, and its orbit mate ovl(01)
+    # hung on one side of it.
+    kn = kneading("(101*)")
+    x, y = EPSeq((), (1, 0)), EPSeq((), (0, 1))
+    tree = HubbardTree(kn)
+    tree._subdivide(tree.nu, tree.crit, x)
+    end = getattr(tree, side)
+    tree.adj[end].append(y)
+    tree.adj[y] = [end]
+    assert characteristic_point(tree, y) == (None if side == "nu" else x)
 
 
 # -- orbit classification ----------------------------------------------------------------

@@ -397,6 +397,36 @@ def test_classification_builds_one_tree(nu, monkeypatch):
     assert not hasattr(treebuild.meet, "cache_info")
 
 
+@pytest.mark.parametrize("nu,copies", [
+    ("(10110*)", 0), ("(100101*)", 0), ("11(01)", 0),
+    # the open tree of 10(01101): the one copy is its closure's
+    ("10(01101)", 1),
+])
+def test_classification_copies_no_closed_tree_and_meets_only_in_walks(
+        nu, copies, monkeypatch):
+    from hubbardtrees.symbolic import kneading
+    from hubbardtrees.treebuild import HubbardTree, meet
+
+    counts = {"copy": 0, "meet": 0}
+    copy = HubbardTree.copy
+
+    def counting_copy(self):
+        counts["copy"] += 1
+        return copy(self)
+
+    def counting_meet(*args):
+        if sys._getframe(1).f_code.co_name != "_walk":
+            counts["meet"] += 1
+        return meet(*args)
+
+    monkeypatch.setattr(HubbardTree, "copy", counting_copy)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hubbardtrees") and hasattr(mod, "meet"):
+            monkeypatch.setattr(mod, "meet", counting_meet)
+    cli.classification_report(kneading(nu))
+    assert counts == {"copy": copies, "meet": 0}
+
+
 # -- address --------------------------------------------------------------------------
 
 
@@ -413,6 +443,21 @@ def test_address_to_kneading():
 def test_address_infinite_prefix():
     r = run("address", "--nu", "(101)", "--max", "6")
     assert r.stdout.strip().startswith("1 -> 2 -> 4 -> 5 -> 7 -> 8")
+
+
+@pytest.mark.parametrize("argv,out", [
+    # period 18: the default cap of 16 used to print "1 -> ... -> 16 -> ..."
+    (["--nu", "(10000000000000000*)"],
+     " -> ".join(map(str, range(1, 19))) + "\n"),
+    (["--nu", "(10*)", "--max", "1"], "1 -> 2 -> 3\n"),
+    (["--gen", "address=1,2,4,5,6", "--max", "2"], "1 -> 2 -> 4 -> 5 -> 6\n"),
+    # addresses that can be infinite keep the cap
+    (["--nu", "(101)", "--max", "3"], "1 -> 2 -> 4 -> ...\n"),
+    (["--nu", "1(0)", "--max", "3"], "1 -> 2 -> 3 -> ...\n"),
+])
+def test_star_periodic_address_is_printed_in_full(argv, out, capsys):
+    assert main(["address", *argv]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 # -- entropy ---------------------------------------------------------------------------
@@ -559,6 +604,15 @@ def test_generator_input_takes_no_sequence_options(command, option, capsys):
                                        "takes no --prefix, --normalize or --degree "
                                        "other than 2\n")
     assert main([*argv, "--degree", "2"]) == 0
+
+
+@pytest.mark.parametrize("name", ["staircase", "feigenbaum"])
+def test_generators_without_parameters_reject_them(name, capsys):
+    # staircase=banana used to build the staircase and exit 0
+    assert main(["tree", "--gen", f"{name}=banana", "--depth", "6"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {name} takes no parameters, got 'banana'\n")
+    assert main(["tree", "--gen", name, "--depth", "6"]) == 0
 
 
 def test_empty_address_is_a_bad_address(capsys):
@@ -867,3 +921,31 @@ def test_package_exports_a_fixed_list_of_names():
         "precritical", "recurrence_probe", "tree_to_dot", "tree_to_json",
         "tree_to_svg", "tree_to_text", "valency", "validate_kneading",
     ]
+
+
+def test_readme_library_example_returns_what_its_comments_state():
+    # the example runs as written, so it cannot drift from the API
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Library\n", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.unparse(stmt.value)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    fs = hubbardtrees.format_sequence
+    assert len(namespace["tree"].vertices()) == 9
+    assert fs(values["tree.omega"]) == "(101)"
+    assert fs(values["characteristic_point(tree, tree.omega)"]) == "(101)"
+    orbit = values["classify_orbit(tree, tree.omega)"]
+    assert (orbit.kind, orbit.arms, orbit.period) == ("evil", 3, 3)
+    bps = namespace["bps"]
+    assert len(bps) == 3
+    assert {bp.orbit.kind for bp in bps} == {"evil"}
+    emb = values["embedding_report(tree, bps)"]
+    assert (emb.admissible, emb.count) == (False, 0)
+    assert str(values["core_entropy(tree)"]).startswith("0.48121")
+    assert values["internal_address(nu).entries"] == (1, 2, 4, 5, 6)

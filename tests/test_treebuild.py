@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from hubbardtrees.symbolic import (
     EPSeq,
     INF,
     STAR,
-    angle_to_kneading,
     diff,
     format_sequence,
     kneading,
@@ -48,7 +46,7 @@ from hubbardtrees.treebuild import (
     vertex_order,
 )
 
-from conftest import path_points, star_periodic_sequences
+from conftest import kernel_corpus, path_points, star_periodic_sequences
 
 fs = format_sequence
 
@@ -190,21 +188,10 @@ def _reference_meet_exact(a, b, c, nu):
         return EPSeq(tuple(w) + (STAR,) + nu_seq.pre, nu_seq.per, degree)
 
 
-def _kernel_corpus():
-    kns = list(star_periodic_sequences(7))
-    angles = {angle_to_kneading(Fraction(k, 3 ** n - 1), 3)
-              for n in (1, 2, 3) for k in range(3 ** n - 1)}
-    kns += sorted((kn for kn in angles if not kn.trivial), key=str)
-    kns += [kneading(text, INF) for text in
-            ("[|1,2,*]", "[|1,-2,1,*]", "[|1,0,2,*]", "[|1,2,3,*]", "[1,2|3]")]
-    kns.append(kneading("1(10)"))
-    return kns
-
-
 def test_meet_kernel_matches_reference_walk():
     RECURRENCES[0] = 0
     tripods = 0
-    for kn in _kernel_corpus():
+    for kn in kernel_corpus():
         vs = sigma_closure(build_tree(kn)).vertices()
         for a, b, c in itertools.combinations(vs, 3):
             assert meet(a, b, c, kn) is _reference_meet_exact(a, b, c, kn), \
@@ -560,7 +547,7 @@ def test_exact_walks_from_the_critical_point_match_the_walk_from_nu(monkeypatch)
         return got
 
     monkeypatch.setattr(HubbardTree, "_walk", checked)
-    for kn in _kernel_corpus() + list(star_periodic_sequences(9)):
+    for kn in kernel_corpus() + list(star_periodic_sequences(9)):
         sigma_closure(build_tree(kn))
     assert walks > 4000
     assert flipped > 1000  # the orientations do differ, so both are compared
@@ -593,7 +580,7 @@ def test_star_word_trees_count_their_meets_and_canonicalisations(monkeypatch):
 
 
 def test_closing_a_closed_tree_returns_it():
-    for kn in _kernel_corpus():
+    for kn in kernel_corpus():
         tree = build_tree(kn)
         assert tree.finite
         assert sigma_closure(tree) is tree, str(kn)
@@ -864,7 +851,7 @@ def _export_trees():
     """Trees of every export shape: the kernel corpus, star words of
     period 8, prefix trees of degrees 2 and 3, the generators, more
     eventually periodic words, and star words cut short at a stage."""
-    kns = _kernel_corpus() + list(star_periodic_sequences(8, 8))
+    kns = kernel_corpus() + list(star_periodic_sequences(8, 8))
     kns += [validate_kneading(parse_prefix(w)) for w in
             ("1011011100", "1100011111", "1001011000", "110100100010000100000")]
     kns.append(validate_kneading(parse_prefix("1201120", 3)))
