@@ -115,8 +115,14 @@ def characteristic_point(tree: HubbardTree, tau: EPSeq) -> Optional[EPSeq]:
         tree = sigma_closure(tree, orbit)
     path = tree.path_between(tree.nu, tree.crit)
     char = next((v for v in path if v in orbit), None)
-    beyond = all(char in tree.path_between(tree.nu, s) for s in orbit)
-    return char if beyond else None
+    # no other orbit point is on nu's side of char, found in one traversal
+    side, todo = {char, tree.nu}, [tree.nu]
+    while todo:
+        for u in tree.adj[todo.pop()]:
+            if u not in side:
+                side.add(u)
+                todo.append(u)
+    return char if side.isdisjoint(set(orbit) - {char}) else None
 
 
 def classify_orbit(tree: HubbardTree, tau: EPSeq) -> OrbitReport:
@@ -124,11 +130,6 @@ def classify_orbit(tree: HubbardTree, tau: EPSeq) -> OrbitReport:
     the finite tree with that orbit inserted."""
     if not tree.finite:
         raise TruncatedTree("orbit classification requires a finite tree")
-    return _classify_in(tree, tau)
-
-
-def _classify_in(tree: HubbardTree, tau: EPSeq) -> OrbitReport:
-    # classify_orbit without its finite-tree check, for enumerate_branch_points
     nu = tree.kneading
     if not nu.exact:
         raise DepthBudgetExceeded("orbit classification needs an exact nu")
@@ -190,9 +191,12 @@ class BranchPoint:
 def enumerate_branch_points(tree: HubbardTree) -> List[BranchPoint]:
     """All branch points of the (sigma-closed refinement of the) tree,
     labelled periodic, preperiodic, or precritical.  Each periodic orbit
-    is classified once, on the closed tree or, for a truncated tree of an
-    exact sequence, on the auto-mode tree, even one that stays truncated.
-    Results from a truncated tree carry the depth_limited flag."""
+    is classified once by classify_orbit, on a finite tree: the closed
+    tree itself or, for a truncated tree of an exact sequence, the tree of
+    nu's whole critical orbit, built and closed once when an orbit first
+    needs it, at the cost of building it.  The orbits of a prefix nu are
+    not classified.  Results from a truncated tree carry the
+    depth_limited flag."""
     t = sigma_closure(tree)
     nu = t.kneading
     limited = not tree.finite
@@ -212,17 +216,18 @@ def enumerate_branch_points(tree: HubbardTree) -> List[BranchPoint]:
         steps = len(v.pre)
         if steps == 0:
             key = frozenset(v.orbit())
-            if key not in labels:
-                if host is None:
-                    host = build_tree(nu) if nu.exact else t
+            if not nu.exact:
+                # the vertex is exactly periodic, its arm behaviour is not
+                # certifiable
+                labels[key] = ("periodic", None, True)
+            elif key not in labels:
+                if host is None:  # finite: growth ends where the orbit repeats
+                    host = sigma_closure(build_tree(
+                        nu, max_points=len(nu.seq.pre) + len(nu.seq.per)))
                 try:
-                    labels[key] = ("periodic", _classify_in(host, v), limited)
+                    labels[key] = ("periodic", classify_orbit(host, v), limited)
                 except CriticalOrbit:
                     labels[key] = ("critical-orbit", None, limited)
-                except DepthBudgetExceeded:
-                    # truncated input: periodicity of the vertex is exact,
-                    # the arm behaviour is not certifiable
-                    labels[key] = ("periodic", None, True)
             kind, rep, lim = labels[key]
             out.append(BranchPoint(v, deg, kind, orbit=rep, depth_limited=lim))
         else:
@@ -265,7 +270,7 @@ def internal_address(s, max_entries: int = 32) -> InternalAddress:
     S_n-periodic pattern of its own prefix.  Comparisons treat the
     wildcard as different from both letters, so a star-periodic sequence
     of period p has a finite address ending in p, given in full; any
-    other address stops after max_entries entries.
+    other address that has not ended by max_entries entries is cut there.
     """
     if isinstance(s, KneadingSequence):
         if s.trivial:
@@ -281,13 +286,12 @@ def internal_address(s, max_entries: int = 32) -> InternalAddress:
     if s.exact and s.pure_periodic and s.star_depth() == len(s.per):
         max_entries = math.inf  # star-periodic: at most p entries
     entries = [1]
-    while len(entries) < max_entries:
-        nxt = _rho(s, entries[-1])
-        if nxt is None:
-            if s.exact:
-                return InternalAddress(tuple(entries), True)
-            return InternalAddress(tuple(entries), False, valid_to=len(s.pre))
+    # ask whether the address has ended before stopping at the cap
+    while ((nxt := _rho(s, entries[-1])) is not None
+           and len(entries) < max_entries):
         entries.append(nxt)
+    if nxt is None and s.exact:
+        return InternalAddress(tuple(entries), True)
     return InternalAddress(tuple(entries), False,
                            valid_to=None if s.exact else len(s.pre))
 
@@ -393,7 +397,7 @@ def _totient(n: int) -> int:
 
 
 _PERRON_BUDGET = 100_000  # power steps per component; 888 suffice to period 12
-_PERRON_BITS = 96  # iterate width; 64 flickers near a rounding midpoint
+_PERRON_BITS = 96  # bits of the smallest entry; 64 flickers near a midpoint
 
 
 def perron_root(matrix) -> float:
@@ -410,9 +414,9 @@ def perron_root(matrix) -> float:
       single cycle, a permutation block, with rho = 1 exactly;
     - every other component A is irreducible with integer row sums >= 1,
       not all equal to 1, so rho(A) > 1.  Power iteration runs on the
-      primitive A + I over positive integer vectors v, cut back to
-      _PERRON_BITS bits after each step.  For any positive v the
-      Collatz-Wielandt bracket gives
+      primitive A + I over positive integer vectors v, cut back after
+      each step to _PERRON_BITS bits in the smallest entry.  For any
+      positive v the Collatz-Wielandt bracket gives
       min_i (Av)_i / v_i <= rho(A) <= max_i (Av)_i / v_i.  int / int
       is correctly rounded and rounding is monotone, so once every ratio
       rounds to the same float, that float is rho(A) correctly rounded.
@@ -494,9 +498,10 @@ def _irreducible_root(cols: List[List[int]]) -> float:
             ratios = {(x - y) / y for x, y in zip(w, v)}
             if len(ratios) == 1:
                 return ratios.pop()
-        # w >= v, and v starts at and keeps _PERRON_BITS bits: shift >= 0
-        shift = max(w).bit_length() - _PERRON_BITS
-        v = [(x >> shift) or 1 for x in w]
+        # cut by the smallest entry, so every ratio keeps _PERRON_BITS
+        # bits however widely the Perron vector spreads; w >= v: shift >= 0
+        shift = min(w).bit_length() - _PERRON_BITS
+        v = [x >> shift for x in w]
     raise DepthBudgetExceeded(
         f"Perron iteration did not converge in {_PERRON_BUDGET} steps "
         f"on a {len(cols)}-edge component"

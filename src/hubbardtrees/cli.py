@@ -183,20 +183,15 @@ def classification_report(kn: KneadingSequence, n=None, max_points=64) -> dict:
 
     # closed once here, so the closures inside the calls below copy nothing
     tree = sigma_closure(tree)
-    orbits = []
-    listed = set()
-    if tree.omega is not None:
-        rep = classify_orbit(tree, tree.omega)
-        orbits.append(_orbit_entry(rep))
-        listed.add(frozenset(tree.omega.orbit()))
     branch_points = enumerate_branch_points(tree)
-    for bp in branch_points:
-        if bp.kind == "periodic" and bp.orbit is not None:
-            key = frozenset(bp.point.orbit())
-            if key not in listed:
-                listed.add(key)
-                orbits.append(_orbit_entry(bp.orbit))
-    report["orbits"] = orbits
+    # each orbit once, omega's first, from its branch point if it has one
+    orbits = {frozenset(bp.point.orbit()): bp.orbit for bp in branch_points
+              if bp.orbit is not None}
+    if tree.omega is not None:
+        key = frozenset(tree.omega.orbit())
+        orbits = {key: orbits.pop(key, None)
+                  or classify_orbit(tree, tree.omega), **orbits}
+    report["orbits"] = [_orbit_entry(rep) for rep in orbits.values()]
 
     emb = embedding_report(tree, branch_points)
     report["admissible"] = emb.admissible

@@ -502,7 +502,7 @@ class MarkovData:
         return np.array(self.rows, dtype=np.int64)
 
 
-_CLOSURE_CAP = 4096  # vertices; a closure past this is a bug, not an input
+_CLOSURE_CAP = 4096  # vertices a closure may add; more is a bug, not input
 
 
 def sigma_closure(tree: HubbardTree, points: Sequence[EPSeq] = ()
@@ -522,7 +522,7 @@ def sigma_closure(tree: HubbardTree, points: Sequence[EPSeq] = ()
     while not stable:
         stable = True
         for v in list(t.adj):
-            if len(t.adj) > _CLOSURE_CAP:
+            if len(t.adj) > len(tree.adj) + _CLOSURE_CAP:
                 raise MeetInconsistency("sigma closure exploded; likely a bug")
             s = v.tail()
             pc = t.postcritical.get(v)

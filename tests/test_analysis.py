@@ -259,6 +259,14 @@ def test_internal_address_infinite():
     assert not addr.finite
 
 
+def test_internal_address_that_ends_at_the_cap_is_finite():
+    # the cap used to stop the address before asking whether it had ended
+    s = parse_sequence("(100)", 2)
+    for cap, entries, finite in [(3, (1, 2, 3), True), (2, (1, 2), False)]:
+        addr = internal_address(s, max_entries=cap)
+        assert (addr.entries, addr.finite) == (entries, finite)
+
+
 def test_internal_address_finite_iff_star_periodic():
     # for abstract kneading sequences only: general periodic sequences
     # without a wildcard (not kneading sequences) can have finite
@@ -451,6 +459,14 @@ def test_perron_root_against_eigvals():
                   [0, 0, 0, 0, 1]])
     assert perron_root(m) == _mp_rho(m) == float(mpmath.phi)
     assert perron_root(m.tolist()) == perron_root(m)
+
+
+def test_entropy_with_a_widely_spread_perron_vector():
+    # rho = 2, and the Perron vector's entries span about 2^70: cut to 96
+    # bits by its largest entry, the iterate lost its smallest ones and
+    # ran out of steps
+    assert core_entropy(build_tree(kneading("1" + "0" * 70 + "(1)"))) \
+        == math.log(2.0)
 
 
 def test_perron_root_budget_raises(monkeypatch):

@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -377,6 +378,38 @@ CLASSIFY_TEXT = [
 def test_classify_text_truncated_and_non_default(args, text, capsys):
     assert main(["classify"] + shlex.split(args)) == 0
     assert capsys.readouterr() == (text, "")
+
+
+def _long_preperiodic_words(count, seed=27):
+    """Exact binary words pre(per), preperiod 60-90 and period 1-8, each a
+    kneading sequence: pre starts with 1 and ends unlike per, per is
+    primitive."""
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        pre = "1" + "".join(rng.choice("01") for _ in range(rng.randint(59, 89)))
+        per = "".join(rng.choice("01") for _ in range(rng.randint(1, 8)))
+        if pre[-1] != per[-1] and all(
+                per != per[d:] + per[:d] for d in range(1, len(per))):
+            words.append(f"{pre}({per})")
+    return words
+
+
+def test_classify_long_orbits_on_their_finite_tree(capsys):
+    # The default 64 vertices truncate most of these trees, which are not
+    # closed under the shift; their periodic orbits are classified on the
+    # finite tree of the whole critical orbit, and read as on the finite
+    # tree that --max-vertices 200 builds, but for the provisional flag.
+    # Classified on the truncated tree, 10 1^68 (0) crashed.
+    def lines(argv):
+        assert main(argv) == 0, argv
+        return [ln.split(" (provisional")[0]
+                for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith(("orbit:", "admissible:"))]
+
+    for nu in _long_preperiodic_words(16) + ["10" + "1" * 68 + "(0)"]:
+        assert (lines(["classify", "--nu", nu])
+                == lines(["classify", "--nu", nu, "--max-vertices", "200"])), nu
 
 
 @pytest.mark.parametrize("nu", ["(10110*)", "(100101*)", "11(01)"])

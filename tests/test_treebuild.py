@@ -586,6 +586,14 @@ def test_closing_a_closed_tree_returns_it():
         assert sigma_closure(tree) is tree, str(kn)
 
 
+def test_closure_cap_counts_the_vertices_it_adds(monkeypatch):
+    # a cap on the tree's size made closing any tree past it a bug
+    tree = build_tree(kneading("(10110*)"))
+    assert len(tree.adj) == 9
+    monkeypatch.setattr(treebuild, "_CLOSURE_CAP", 4)
+    assert sigma_closure(tree) is tree
+
+
 def test_closure_copies_an_open_tree_and_leaves_it_untouched():
     tree = build_tree(kneading("10(01101)"))
     before = {v: list(nbrs) for v, nbrs in tree.adj.items()}
