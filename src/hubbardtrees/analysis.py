@@ -269,8 +269,15 @@ def internal_address(s, max_entries: int = 32) -> InternalAddress:
     S_{n+1} is the first position where the sequence leaves the
     S_n-periodic pattern of its own prefix.  Comparisons treat the
     wildcard as different from both letters, so a star-periodic sequence
-    of period p has a finite address ending in p, given in full; any
-    other address that has not ended by max_entries entries is cut there.
+    of period p has a finite address ending in p.
+
+    An address that ends at g says the sequence has period g from its
+    first letter.  For an exact purely periodic sequence of period p,
+    S_{n+1} - S_n depends only on S_n mod p, so the address ends at the
+    first entry that is a multiple of p, within p entries, or never: its
+    first max(max_entries, p) entries decide it.  A finite address is
+    given in full; an infinite one, or a truncation's, is cut at
+    max_entries.
     """
     if isinstance(s, KneadingSequence):
         if s.trivial:
@@ -283,16 +290,16 @@ def internal_address(s, max_entries: int = 32) -> InternalAddress:
     if s.head != 1:
         raise BadLeadingSymbol("internal addresses need sequences starting with 1")
 
-    if s.exact and s.pure_periodic and s.star_depth() == len(s.per):
-        max_entries = math.inf  # star-periodic: at most p entries
+    cap = max_entries
+    if s.exact and s.pure_periodic:
+        cap = max(max_entries, len(s.per))
     entries = [1]
     # ask whether the address has ended before stopping at the cap
-    while ((nxt := _rho(s, entries[-1])) is not None
-           and len(entries) < max_entries):
+    while (nxt := _rho(s, entries[-1])) is not None and len(entries) < cap:
         entries.append(nxt)
     if nxt is None and s.exact:
         return InternalAddress(tuple(entries), True)
-    return InternalAddress(tuple(entries), False,
+    return InternalAddress(tuple(entries[:max_entries]), False,
                            valid_to=None if s.exact else len(s.pre))
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: path, tree, classify, address, entropy, angle.  Identical
 invocations produce byte-identical output.  Exit codes: 0 ok, 2 parse
-error, 3 depth budget exhausted, 4 mode mismatch (finite tree required).
+error or unwritable --out, 3 depth budget exhausted, 4 mode mismatch
+(finite tree required).
 """
 
 from __future__ import annotations
@@ -93,14 +94,6 @@ def resolve_input(args) -> KneadingSequence:
     return kn
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -162,12 +155,11 @@ def _orbit_entry(rep) -> dict:
 
 def classification_report(kn: KneadingSequence, n=None, max_points=64) -> dict:
     tree = build_tree(kn, n, max_points=max_points)
-    mode, trunc = tree.mode
     report = {
         "nu": str(kn),
         "degree": "inf" if kn.degree is INF else kn.degree,
-        "mode": mode,
-        "truncation": trunc,
+        "mode": "finite" if tree.finite else "truncated",
+        "truncation": tree.truncation,
     }
 
     if kn.star_periodic:
@@ -375,10 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _call(args) -> tuple:
-    """(exit_code, text) of one subcommand: its output, or the one-line
-    error message for the exceptions that map to an exit code."""
+    """(exit_code, text) of one subcommand: its output for stdout, which
+    is empty when --out took it, or the one-line error message for the
+    exceptions that map to an exit code."""
     try:
-        return 0, args.func(args)
+        text = args.func(args)
     except (SequenceParseError, KneadingError, WrongDegree,
             NonIncreasingAddress, NotStarPeriodic) as exc:
         return EXIT_PARSE, f"error: {exc}\n"
@@ -386,23 +379,25 @@ def _call(args) -> tuple:
         return EXIT_BUDGET, f"error: depth budget exhausted: {exc}\n"
     except TruncatedTree as exc:
         return EXIT_MODE, f"error: finite tree required: {exc}\n"
+    if not args.out:
+        return 0, text
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return EXIT_PARSE, f"error: cannot write output: {exc}\n"
+    return 0, ""
 
 
 def _run_one(argv) -> tuple:
-    """(exit_code, stdout_text) of one batch line.  A line with --out
-    writes its output to that file, as main does, and leaves nothing for
-    stdout."""
+    """(exit_code, stdout_text) of one batch line."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return (exc.code if exc.code else EXIT_PARSE), ""
     if args.command is None:
         return EXIT_PARSE, "error: no subcommand\n"
-    code, text = _call(args)
-    if code == 0 and args.out:
-        _emit(args, text)
-        return code, ""
-    return code, text
+    return _call(args)
 
 
 def _run_batch(path: str) -> int:
@@ -436,10 +431,7 @@ def main(argv=None) -> int:
         ap.print_help()
         return EXIT_PARSE
     code, text = _call(args)
-    if code:
-        sys.stderr.write(text)
-    else:
-        _emit(args, text)
+    (sys.stderr if code else sys.stdout).write(text)
     return code
 
 

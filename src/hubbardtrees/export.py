@@ -16,13 +16,26 @@ from .treebuild import HubbardTree, vertex_order
 
 
 def _meta(tree: HubbardTree) -> dict:
-    mode, trunc = tree.mode
     return {
         "nu": format_sequence(tree.nu),
         "degree": "inf" if tree.degree is INF else tree.degree,
-        "mode": mode,
-        "truncation": trunc,
+        "mode": "finite" if tree.finite else "truncated",
+        "truncation": tree.truncation,
     }
+
+
+def _kind(tree: HubbardTree, v, fatou_ends: set) -> str:
+    if v is tree.nu:
+        return "critical-value"
+    if v is tree.crit:
+        return "critical-point"
+    if v in tree.postcritical:
+        return "postcritical"
+    if v.contains_star():
+        return "precritical"
+    if v in fatou_ends:
+        return "fatou-boundary"
+    return "plain"
 
 
 def _nodes_edges(tree: HubbardTree):
@@ -31,7 +44,7 @@ def _nodes_edges(tree: HubbardTree):
     flagged = [(u, v, tree.is_fatou_edge(u, v)) for u, v in tree.edges()]
     fatou_ends = {x for u, v, f in flagged if f for x in (u, v)}
     nodes = [{"id": i, "itinerary": format_sequence(v),
-              "kind": tree.kind_of(v, fatou_ends),
+              "kind": _kind(tree, v, fatou_ends),
               "depth": 0 if v is tree.nu else v.star_depth()}
              for v, i in order.items()]  # insertion order is id order
     edges = sorted((*sorted((order[u], order[v])), f) for u, v, f in flagged)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .critpath import lower_sequence
 from .errors import (
@@ -224,10 +224,12 @@ class HubbardTree:
             self.nu: [self.crit],
             self.crit: [self.nu],
         }
-        self.postcritical: Dict[EPSeq, int] = {self.nu: 0}
+        # the marked points: nu, and *nu when it is on the orbit
+        self.postcritical: Set[EPSeq] = {self.nu}
         if kneading.star_periodic:
-            self.postcritical[self.crit] = kneading.period - 1
-        self.mode: Tuple[str, Optional[int]] = ("finite", None)
+            self.postcritical.add(self.crit)
+        # the growth cap that stopped construction; None for a finite tree
+        self.truncation: Optional[int] = None
         # the lower sequence whose orbit build_tree inserted, if it did
         self.omega: Optional[EPSeq] = None
 
@@ -239,7 +241,7 @@ class HubbardTree:
 
     @property
     def finite(self) -> bool:
-        return self.mode[0] == "finite"
+        return self.truncation is None
 
     def vertices(self) -> List[EPSeq]:
         return list(self.adj)
@@ -278,8 +280,8 @@ class HubbardTree:
         t.nu = self.nu
         t.crit = self.crit
         t.adj = {v: list(nbrs) for v, nbrs in self.adj.items()}
-        t.postcritical = dict(self.postcritical)
-        t.mode = self.mode
+        t.postcritical = set(self.postcritical)
+        t.truncation = self.truncation
         t.omega = self.omega
         return t
 
@@ -363,9 +365,10 @@ class HubbardTree:
                 return ("existing", cur) if same_point(p, cur) else ("at", cur)
         raise MeetInconsistency("insertion walk failed to terminate")
 
-    def insert_point(self, p: EPSeq, postcritical: Optional[int] = None):
-        """Attach p to the tree; idempotent.  Returns (vertex, how) where
-        how is 'existing', 'interior', or 'pendant'."""
+    def insert_point(self, p: EPSeq, postcritical: bool = False):
+        """Attach p to the tree, and mark the vertex it is if postcritical;
+        idempotent.  Returns (vertex, how) where how is 'existing',
+        'interior', or 'pendant'."""
         kind, data = self._walk(p)
         v = data if kind == "existing" else p
         if kind == "interior":
@@ -379,26 +382,9 @@ class HubbardTree:
         elif kind == "at":
             self.adj[data].append(p)
             self.adj[p] = [data]
-        if postcritical is not None:
-            old = self.postcritical.get(v)
-            if old is None or postcritical < old:
-                self.postcritical[v] = postcritical
+        if postcritical:
+            self.postcritical.add(v)
         return v, "pendant" if kind in ("branch", "at") else kind
-
-    # -- vertex kinds ----------------------------------------------------------
-
-    def kind_of(self, v: EPSeq, fatou_ends: set) -> str:
-        if v is self.nu:
-            return "critical-value"
-        if v is self.crit:
-            return "critical-point"
-        if v in self.postcritical:
-            return "postcritical"
-        if v.contains_star():
-            return "precritical"
-        if v in fatou_ends:
-            return "fatou-boundary"
-        return "plain"
 
 
 def vertex_order(tree: HubbardTree) -> Dict[EPSeq, int]:
@@ -445,39 +431,32 @@ def build_tree(kneading: KneadingSequence, n: Optional[int] = None, *,
         p = kneading.period
         limit = p - 1 if n is None else min(n, p - 1)
         for k in range(1, limit + 1):
-            tree.insert_point(seq.shift(k), postcritical=k)
+            tree.insert_point(seq.shift(k), postcritical=True)
         if limit >= p - 1:
-            tree.mode = ("finite", None)
             tree.omega = lower_sequence(kneading)
             for s in tree.omega.orbit():
                 tree.insert_point(s)
         else:
-            tree.mode = ("truncated", limit)
+            tree.truncation = limit
         return tree
 
     if seq.exact:
+        # with n given, every orbit point to n is a vertex and point n + 1
+        # says whether the tree is finite
         cap = n if n is not None else max_points
-        k = 1
-        tree.mode = ("truncated", cap)
-        while k <= cap:
-            _, how = tree.insert_point(seq.shift(k), postcritical=k)
-            if how in ("existing", "interior") and n is None:
-                tree.mode = ("finite", None)
-                break
-            k += 1
-        else:
-            if n is not None and (tree._walk(seq.shift(n + 1))[0]
-                                  in ("existing", "interior")):
-                tree.mode = ("finite", None)
-            else:
-                tree.mode = ("truncated", cap)
+        for k in range(1, cap + 1):
+            _, how = tree.insert_point(seq.shift(k), postcritical=True)
+            if how != "pendant" and n is None:
+                return tree
+        if n is None or tree._walk(seq.shift(n + 1))[0] in ("branch", "at"):
+            tree.truncation = cap
         return tree
 
     # prefix input: insert orbit points while enough symbols remain
     cap = max(0, min(n if n is not None else max_points, len(seq.pre) // 2))
     for k in range(1, cap + 1):
-        tree.insert_point(seq.shift(k), postcritical=k)
-    tree.mode = ("truncated", cap)
+        tree.insert_point(seq.shift(k), postcritical=True)
+    tree.truncation = cap
     return tree
 
 
@@ -508,7 +487,7 @@ _CLOSURE_CAP = 4096  # vertices a closure may add; more is a bug, not input
 def sigma_closure(tree: HubbardTree, points: Sequence[EPSeq] = ()
                   ) -> HubbardTree:
     """The tree with the points inserted and, if it is finite, its vertex
-    set and postcritical labels closed under the shift; a truncated tree
+    set and marked points closed under the shift; a truncated tree
     gets the points but is not closed.  The tree itself if that changes
     nothing, else a copy made at the first change (the input is
     untouched)."""
@@ -525,15 +504,12 @@ def sigma_closure(tree: HubbardTree, points: Sequence[EPSeq] = ()
             if len(t.adj) > len(tree.adj) + _CLOSURE_CAP:
                 raise MeetInconsistency("sigma closure exploded; likely a bug")
             s = v.tail()
-            pc = t.postcritical.get(v)
-            child_pc = pc + 1 if pc is not None else None
-            old = t.postcritical.get(s)
-            if s in t.adj and (child_pc is None
-                               or old is not None and old <= child_pc):
+            marked = v in t.postcritical
+            if s in t.adj and (not marked or s in t.postcritical):
                 continue
             if t is tree:
                 t = tree.copy()  # copy on the first change only
-            t.insert_point(s, postcritical=child_pc)
+            t.insert_point(s, postcritical=marked)
             stable = False
     return t
 

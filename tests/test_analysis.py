@@ -260,11 +260,48 @@ def test_internal_address_infinite():
 
 
 def test_internal_address_that_ends_at_the_cap_is_finite():
-    # the cap used to stop the address before asking whether it had ended
+    # the cap used to stop the address before asking whether it had ended;
+    # a periodic word's finite address is given in full past the cap
     s = parse_sequence("(100)", 2)
-    for cap, entries, finite in [(3, (1, 2, 3), True), (2, (1, 2), False)]:
+    for cap, entries, finite in [(3, (1, 2, 3), True), (2, (1, 2, 3), True)]:
         addr = internal_address(s, max_entries=cap)
         assert (addr.entries, addr.finite) == (entries, finite)
+
+
+def _brute_force_address(word, entries_max=60, window=1200):
+    """Entries of the address of the periodic word (word)^inf by the
+    definition, letters compared over a long window; finite if it ended
+    within entries_max entries."""
+    xs = (word * (window // len(word) + 1))[:window]
+    entries = [1]
+    while len(entries) < entries_max:
+        g = entries[-1]
+        k = next((k for k in range(g + 1, window + 1)
+                  if xs[k - 1] != xs[k - 1 - g]), None)
+        if k is None:
+            return tuple(entries), True
+        entries.append(k)
+    return tuple(entries), False
+
+
+def test_periodic_address_matches_brute_force():
+    # every binary periodic word to period 9, with and without a final
+    # wildcard: a finite address in full whatever the cap, an infinite one
+    # cut at the cap
+    words = [(1,) + bits for n in range(9)
+             for bits in itertools.product((0, 1), repeat=n)]
+    words += [w + (STAR,) for w in words if len(w) < 9]
+    checked = finite_past_cap = 0
+    for word in words:
+        full, finite = _brute_force_address(word)
+        s = EPSeq((), word, 2)
+        for cap in range(1, 12):
+            addr = internal_address(s, max_entries=cap)
+            want = full if finite else full[:cap]
+            assert (addr.entries, addr.finite) == (want, finite), (word, cap)
+            checked += 1
+            finite_past_cap += finite and len(full) > cap
+    assert checked > 8000 and finite_past_cap > 1000, finite_past_cap
 
 
 def test_internal_address_finite_iff_star_periodic():

@@ -487,6 +487,9 @@ def test_address_infinite_prefix():
     # addresses that can be infinite keep the cap
     (["--nu", "(101)", "--max", "3"], "1 -> 2 -> 4 -> ...\n"),
     (["--nu", "1(0)", "--max", "3"], "1 -> 2 -> 3 -> ...\n"),
+    # a periodic word without a wildcard: its address ends at 19, not 16
+    (["--nu", "(1000000000000000000)"],
+     " -> ".join(map(str, range(1, 20))) + "\n"),
 ])
 def test_star_periodic_address_is_printed_in_full(argv, out, capsys):
     assert main(["address", *argv]) == 0
@@ -737,6 +740,21 @@ def test_batch_out_writes_the_file(tmp_path):
     lone = tmp_path / "lone.txt"
     assert run("entropy", "--nu", "(10*)", "--out", str(lone)).returncode == 0
     assert target.read_text() == lone.read_text() == "0.481211825060\n"
+
+
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    target = tmp_path / "absent" / "t.txt"
+    assert main(["tree", "--nu", "(10*)", "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    # in a batch the line prints the same error, and the next line runs
+    batch = tmp_path / "jobs.txt"
+    batch.write_text(f"tree --nu \"(10*)\" --out {shlex.quote(str(target))}\n"
+                     "angle --theta 1/7\n")
+    assert main(["--batch", str(batch)]) == 2
+    assert capsys.readouterr() == (f"### tree --nu (10*) --out {target}\n{err}"
+                                   "### angle --theta 1/7\n(11*)\n", "")
+    assert not target.parent.exists()
 
 
 def test_one_parser_per_process(tmp_path, monkeypatch, capsys):

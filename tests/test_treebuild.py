@@ -11,7 +11,7 @@ import pytest
 
 from hubbardtrees import symbolic, treebuild
 from hubbardtrees.critpath import build_pn, lower_sequence
-from hubbardtrees.errors import MeetInconsistency, TruncatedTree
+from hubbardtrees.errors import KneadingError, MeetInconsistency, TruncatedTree
 from hubbardtrees.export import (
     _meta,
     _nodes_edges,
@@ -605,6 +605,62 @@ def test_closure_copies_an_open_tree_and_leaves_it_untouched():
     assert sigma_closure(closed) is closed
 
 
+def _closure_corpus():
+    """Every binary star word to period 9, and every eventually periodic
+    binary kneading sequence with preperiod and period at most 3."""
+    kns = list(star_periodic_sequences(9))
+    for pre, per in itertools.product(range(1, 4), repeat=2):
+        for bits in itertools.product((0, 1), repeat=pre + per - 1):
+            word = (1,) + bits
+            try:
+                kn = validate_kneading(EPSeq(word[:pre], word[pre:], 2))
+            except KneadingError:
+                continue
+            if kn.seq.pre and not kn.trivial:
+                kns.append(kn)
+    return kns
+
+
+def test_closure_invariants():
+    # a star word's tree is closed as built; a closed finite tree marks
+    # exactly nu's orbit; a periodic orbit inserted into a closed tree
+    # leaves the closure nothing to add (alpha, on the tree or not)
+    alpha = EPSeq((), (1,), 2)
+    kns = _closure_corpus()
+    for kn in kns:
+        tree = build_tree(kn)
+        assert tree.finite, str(kn)
+        closed = sigma_closure(tree)
+        if kn.star_periodic:
+            assert closed is tree, str(kn)
+        assert closed.postcritical == set(kn.seq.orbit()), str(kn)
+        if alpha not in closed.postcritical:
+            t = closed.copy()
+            t.insert_point(alpha)
+            assert sigma_closure(t) is t, str(kn)
+    assert len(kns) > 300
+    assert sum(not kn.star_periodic for kn in kns) > 40
+
+
+def test_tree_state_is_its_fields():
+    fields = {"kneading", "nu", "crit", "adj", "postcritical", "truncation",
+              "omega"}
+    # finite and truncated, star-periodic and exact, and a prefix tree
+    star = kneading("(10110*)")
+    trees = [build_tree(star), build_tree(star, 2),
+             build_tree(kneading("10(011)")),
+             build_tree(kneading("10111(0)"), max_points=2),
+             build_tree(validate_kneading(parse_prefix("1011011100")))]
+    assert [t.truncation for t in trees] == [None, 2, None, 2, 5]
+    for t in trees:
+        assert set(vars(t)) == fields
+        c = t.copy()
+        assert set(vars(c)) == fields
+        assert all(getattr(c, f) == getattr(t, f) for f in fields)
+        assert c.postcritical is not t.postcritical
+        assert all(c.adj[v] is not t.adj[v] for v in t.adj)
+
+
 def test_tree_keeps_its_lower_sequence():
     for kn in star_periodic_sequences(7):
         tree = build_tree(kn)
@@ -791,8 +847,8 @@ def test_markov_requires_finite():
 def test_staircase_tree_shape():
     t = build_tree(staircase(15))
     assert not t.finite
-    for v, k in t.postcritical.items():
-        assert t.degree_of(v) == 1, (fs(v), k)
+    for v in t.postcritical:
+        assert t.degree_of(v) == 1, fs(v)
 
 
 def test_infinite_degree_critical_valency():
@@ -848,8 +904,7 @@ def test_export_ids_stable_under_insertion_order():
     t1 = build_tree(kn)
     t2 = HubbardTree(kn)
     for k in [4, 1, 3, 2, 5]:
-        t2.insert_point(kn.seq.shift(k), postcritical=k)
-    t2.mode = ("finite", None)
+        t2.insert_point(kn.seq.shift(k), postcritical=True)
     for s in lower_sequence(kn).orbit():
         t2.insert_point(s)
     assert tree_to_json(t1) == tree_to_json(t2)
