@@ -109,7 +109,7 @@ def characteristic_point(tree: HubbardTree, tau: EPSeq) -> Optional[EPSeq]:
     """The orbit point nearest nu on the path to *nu, if every other orbit
     point lies beyond it, so that it separates the orbit and *nu from nu;
     None otherwise, as for orbits of endpoints.  Read off the tree, with
-    the orbit inserted if the tree does not hold it."""
+    the whole orbit passed to sigma_closure if the tree lacks a point."""
     orbit = _orbit_of(tree.kneading, tau)
     if not all(s in tree.adj for s in orbit):
         tree = sigma_closure(tree, orbit)
@@ -127,7 +127,7 @@ def characteristic_point(tree: HubbardTree, tau: EPSeq) -> Optional[EPSeq]:
 
 def classify_orbit(tree: HubbardTree, tau: EPSeq) -> OrbitReport:
     """Arm count and first-return arm behaviour of the orbit of tau in
-    the finite tree with that orbit inserted."""
+    the finite tree closed with tau, whose orbit the closure walks."""
     if not tree.finite:
         raise TruncatedTree("orbit classification requires a finite tree")
     nu = tree.kneading
@@ -135,7 +135,7 @@ def classify_orbit(tree: HubbardTree, tau: EPSeq) -> OrbitReport:
         raise DepthBudgetExceeded("orbit classification needs an exact nu")
     orbit = _orbit_of(nu, tau)
     period = len(orbit)
-    tree = sigma_closure(tree, orbit)
+    tree = sigma_closure(tree, [tau])
 
     if all(tree.degree_of(s) == 1 for s in orbit):
         return OrbitReport(characteristic=None, period=period, arms=1,

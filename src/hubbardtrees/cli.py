@@ -75,6 +75,8 @@ def _normalize_symbols(seq):
 
 
 def resolve_input(args) -> KneadingSequence:
+    if args.depth and getattr(args, "max_vertices", None):
+        raise SequenceParseError("pass --depth or --max-vertices, not both")
     degree = parse_degree(args.degree)
     if getattr(args, "gen", None):
         if args.prefix or getattr(args, "normalize", False) or degree != 2:
@@ -133,7 +135,7 @@ def cmd_path(args) -> str:
 
 def cmd_tree(args) -> str:
     kn = resolve_input(args)
-    tree = build_tree(kn, args.depth, max_points=args.max_vertices)
+    tree = build_tree(kn, args.depth, max_points=args.max_vertices or 64)
     render = {
         "json": tree_to_json,
         "dot": tree_to_dot,
@@ -221,7 +223,7 @@ def _render_classification(report: dict) -> str:
 
 def cmd_classify(args) -> str:
     kn = resolve_input(args)
-    report = classification_report(kn, args.depth, max_points=args.max_vertices)
+    report = classification_report(kn, args.depth, args.max_vertices or 64)
     if args.format == "json":
         import json
 
@@ -255,7 +257,7 @@ def cmd_address(args) -> str:
 
 def cmd_entropy(args) -> str:
     kn = resolve_input(args)
-    tree = build_tree(kn, args.depth, max_points=args.max_vertices)
+    tree = build_tree(kn, args.depth, max_points=args.max_vertices or 64)
     h = core_entropy(tree)
     out = f"{h:.12f}\n"
     if args.matrix:
@@ -311,8 +313,8 @@ def _add_common(p, formats=(), max_vertices=True, normalize=True):
     p.add_argument("--depth", type=_positive_int, default=None,
                    help="stage / growth / generator depth")
     if max_vertices:
-        p.add_argument("--max-vertices", type=_positive_int, default=64,
-                       help="growth ceiling before truncation")
+        p.add_argument("--max-vertices", type=_positive_int, default=None,
+                       help="growth ceiling before truncation (default 64)")
     if normalize:
         p.add_argument("--normalize", action="store_true",
                        help="relabel infinite-degree symbols by first occurrence")

@@ -481,36 +481,34 @@ class MarkovData:
         return np.array(self.rows, dtype=np.int64)
 
 
-_CLOSURE_CAP = 4096  # vertices a closure may add; more is a bug, not input
-
-
 def sigma_closure(tree: HubbardTree, points: Sequence[EPSeq] = ()
                   ) -> HubbardTree:
     """The tree with the points inserted and, if it is finite, its vertex
-    set and marked points closed under the shift; a truncated tree
-    gets the points but is not closed.  The tree itself if that changes
-    nothing, else a copy made at the first change (the input is
-    untouched)."""
+    set and marked points closed under the shift by two orbit walks: nu's
+    whole orbit, inserted and marked, makes the tree forward invariant;
+    then each given point's orbit is inserted until it reaches a vertex.
+    That suffices, as the shift is injective near every point but *nu: a
+    branch point maps to a branch point, a vertex (Bruin-Kaffl-Schleicher
+    2009).  A vertex added by hand with insert_point is closed only if it
+    is passed in points.  A truncated tree gets the points but is not
+    closed.  The tree itself if that changes nothing, else a copy made at
+    the first change (the input is untouched)."""
     t = tree
-    for s in points:
-        if s not in t.adj:
-            if t is tree:
-                t = tree.copy()
-            t.insert_point(s)
-    stable = not t.finite
-    while not stable:
-        stable = True
-        for v in list(t.adj):
-            if len(t.adj) > len(tree.adj) + _CLOSURE_CAP:
-                raise MeetInconsistency("sigma closure exploded; likely a bug")
-            s = v.tail()
-            marked = v in t.postcritical
-            if s in t.adj and (not marked or s in t.postcritical):
-                continue
-            if t is tree:
-                t = tree.copy()  # copy on the first change only
-            t.insert_point(s, postcritical=marked)
-            stable = False
+
+    def insert(s, marked):
+        nonlocal t
+        if t is tree:
+            t = tree.copy()  # copy on the first change only
+        t.insert_point(s, postcritical=marked)
+
+    for s in t.nu.orbit() if t.finite else ():
+        if s not in t.postcritical:
+            insert(s, True)
+    for p in points:
+        for s in p.orbit() if t.finite else (p,):
+            if s in t.adj:
+                break
+            insert(s, False)
     return t
 
 

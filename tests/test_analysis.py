@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hubbardtrees.analysis import (
     characteristic_point,
@@ -640,6 +641,37 @@ def test_proposition_star_periodic_classification_period_le_6():
         else:
             assert om.period_length == bc.q
             assert (rep.kind, rep.arms) == ("evil", p // bc.q + 1)
+
+
+@st.composite
+def _angles(draw):
+    """(d, theta): a periodic angle k/(d^n - 1), n <= 4, or a preperiodic
+    one k/(d^m (d - 1)), m <= 3, of degree 2, 3 or 4."""
+    d = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        den = d ** draw(st.integers(1, 4)) - 1
+    else:
+        den = d ** draw(st.integers(1, 3)) * (d - 1)
+    return d, Fraction(draw(st.integers(0, den - 1)), den)
+
+
+@given(_angles())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_angle_trees_are_admissible_hubbard_trees(angle):
+    # the tree of an external angle is a polynomial's Hubbard tree: no
+    # orbit is evil, the entropy is at most log d, and every endpoint of
+    # the closed tree is on the critical orbit; the satellites with 3 or 4
+    # arms among them fail an _orbit_kind that calls those evil
+    d, theta = angle
+    kn = angle_to_kneading(theta, d)
+    assume(not kn.trivial)
+    tree = sigma_closure(build_tree(kn))
+    assume(tree.finite)
+    branch_points = enumerate_branch_points(tree)
+    rep = embedding_report(tree, branch_points)
+    assert rep.admissible and not rep.evil_orbits, (d, theta, str(kn))
+    assert core_entropy(tree) <= math.log(d), (d, theta, str(kn))
+    assert set(tree.endpoints()) <= tree.postcritical, (d, theta, str(kn))
 
 
 def test_arm_map_injectivity_at_branch_points():

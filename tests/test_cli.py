@@ -651,6 +651,20 @@ def test_generators_without_parameters_reject_them(name, capsys):
     assert main(["tree", "--gen", name, "--depth", "6"]) == 0
 
 
+@pytest.mark.parametrize("command", ["tree", "classify", "entropy"])
+@pytest.mark.parametrize("source", [["--nu", "1011(0)"], ["--gen", "feigenbaum"]])
+def test_depth_and_max_vertices_are_one_choice(command, source, capsys):
+    # --depth overrode --max-vertices: tree --nu "1011(0)" --depth 3
+    # --max-vertices 1 printed the bytes of --depth 3 alone
+    argv = [command, *source, "--depth", "3"]
+    assert main([*argv, "--max-vertices", "64"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: pass --depth or --max-vertices, not both\n")
+    # an omitted --max-vertices is the default 64
+    assert (main([command, *source]), capsys.readouterr()) == (
+        main([command, *source, "--max-vertices", "64"]), capsys.readouterr())
+
+
 def test_empty_address_is_a_bad_address(capsys):
     assert main(["address", "--from", ""]) == 2
     assert capsys.readouterr() == ("", "error: bad address ''\n")

@@ -586,14 +586,6 @@ def test_closing_a_closed_tree_returns_it():
         assert sigma_closure(tree) is tree, str(kn)
 
 
-def test_closure_cap_counts_the_vertices_it_adds(monkeypatch):
-    # a cap on the tree's size made closing any tree past it a bug
-    tree = build_tree(kneading("(10110*)"))
-    assert len(tree.adj) == 9
-    monkeypatch.setattr(treebuild, "_CLOSURE_CAP", 4)
-    assert sigma_closure(tree) is tree
-
-
 def test_closure_copies_an_open_tree_and_leaves_it_untouched():
     tree = build_tree(kneading("10(01101)"))
     before = {v: list(nbrs) for v, nbrs in tree.adj.items()}
@@ -624,7 +616,7 @@ def _closure_corpus():
 def test_closure_invariants():
     # a star word's tree is closed as built; a closed finite tree marks
     # exactly nu's orbit; a periodic orbit inserted into a closed tree
-    # leaves the closure nothing to add (alpha, on the tree or not)
+    # leaves the fixed-point scan nothing to add (alpha, on the tree or not)
     alpha = EPSeq((), (1,), 2)
     kns = _closure_corpus()
     for kn in kns:
@@ -637,9 +629,71 @@ def test_closure_invariants():
         if alpha not in closed.postcritical:
             t = closed.copy()
             t.insert_point(alpha)
-            assert sigma_closure(t) is t, str(kn)
+            assert _reference_closure(t).adj.keys() == t.adj.keys(), str(kn)
     assert len(kns) > 300
     assert sum(not kn.star_periodic for kn in kns) > 40
+
+
+def _reference_closure(tree, points=()):
+    """The fixed-point scan that closed trees before the orbit walks: the
+    points inserted and, on a finite tree, the image of every vertex,
+    marked if the vertex is, until a scan adds nothing; on a copy."""
+    t = tree.copy()
+    for s in points:
+        if s not in t.adj:
+            t.insert_point(s)
+    stable = not t.finite
+    while not stable:
+        stable = True
+        for v in list(t.adj):
+            s = v.tail()
+            marked = v in t.postcritical
+            if s in t.adj and (not marked or s in t.postcritical):
+                continue
+            t.insert_point(s, postcritical=marked)
+            stable = False
+    return t
+
+
+def _edge_set(tree):
+    return {frozenset((u, v)) for u in tree.adj for v in tree.adj[u]}
+
+
+def test_closure_walks_match_the_fixed_point_scan(monkeypatch):
+    # every closure made while classifying, at several caps, and while
+    # counting the arms of two preperiodic points gives the scan's tree
+    from hubbardtrees import analysis, cli
+
+    calls = opened = 0
+
+    def checked(tree, points=()):
+        nonlocal calls, opened
+        before = len(tree.adj), set(tree.postcritical)
+        got = sigma_closure(tree, points)
+        ref = _reference_closure(tree, points)
+        label = (str(tree.kneading), tree.truncation, [fs(p) for p in points])
+        assert got.adj.keys() == ref.adj.keys(), label
+        assert _edge_set(got) == _edge_set(ref), label
+        assert got.postcritical == ref.postcritical, label
+        assert (len(tree.adj), tree.postcritical) == before, label
+        calls += 1
+        opened += tree.finite and got is not tree
+        return got
+
+    for module in (treebuild, analysis, cli):
+        monkeypatch.setattr(module, "sigma_closure", checked)
+    kns = _closure_corpus() + kernel_corpus()
+    for kn in kns:
+        cli.classification_report(kn)
+        cli.classification_report(kn, max_points=3)
+        for n in (1, 2, 3):
+            cli.classification_report(kn, n)
+        if kn.degree == 2:
+            tree = build_tree(kn)
+            for tau in (parse_sequence("0(1)"), parse_sequence("10(01)")):
+                analysis.valency(tree, tau)
+    assert calls > 8000
+    assert opened > 700  # open preperiodic trees, and the two points
 
 
 def test_tree_state_is_its_fields():
