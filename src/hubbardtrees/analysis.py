@@ -192,11 +192,10 @@ def enumerate_branch_points(tree: HubbardTree) -> List[BranchPoint]:
     """All branch points of the (sigma-closed refinement of the) tree,
     labelled periodic, preperiodic, or precritical.  Each periodic orbit
     is classified once by classify_orbit, on a finite tree: the closed
-    tree itself or, for a truncated tree of an exact sequence, the tree of
-    nu's whole critical orbit, built and closed once when an orbit first
-    needs it, at the cost of building it.  The orbits of a prefix nu are
-    not classified.  Results from a truncated tree carry the
-    depth_limited flag."""
+    tree itself or, for an exact sequence's tree cut at n, nu's finite
+    tree build_tree(nu), built and closed once when an orbit first needs
+    it.  The orbits of a prefix nu are not classified.  Results from a
+    truncated tree carry the depth_limited flag."""
     t = sigma_closure(tree)
     nu = t.kneading
     limited = not tree.finite
@@ -221,9 +220,8 @@ def enumerate_branch_points(tree: HubbardTree) -> List[BranchPoint]:
                 # certifiable
                 labels[key] = ("periodic", None, True)
             elif key not in labels:
-                if host is None:  # finite: growth ends where the orbit repeats
-                    host = sigma_closure(build_tree(
-                        nu, max_points=len(nu.seq.pre) + len(nu.seq.per)))
+                if host is None:
+                    host = sigma_closure(build_tree(nu))
                 try:
                     labels[key] = ("periodic", classify_orbit(host, v), limited)
                 except CriticalOrbit:

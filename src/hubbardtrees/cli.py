@@ -75,8 +75,6 @@ def _normalize_symbols(seq):
 
 
 def resolve_input(args) -> KneadingSequence:
-    if args.depth and getattr(args, "max_vertices", None):
-        raise SequenceParseError("pass --depth or --max-vertices, not both")
     degree = parse_degree(args.degree)
     if getattr(args, "gen", None):
         if args.prefix or getattr(args, "normalize", False) or degree != 2:
@@ -135,7 +133,7 @@ def cmd_path(args) -> str:
 
 def cmd_tree(args) -> str:
     kn = resolve_input(args)
-    tree = build_tree(kn, args.depth, max_points=args.max_vertices or 64)
+    tree = build_tree(kn, args.depth)
     render = {
         "json": tree_to_json,
         "dot": tree_to_dot,
@@ -155,8 +153,8 @@ def _orbit_entry(rep) -> dict:
     }
 
 
-def classification_report(kn: KneadingSequence, n=None, max_points=64) -> dict:
-    tree = build_tree(kn, n, max_points=max_points)
+def classification_report(kn: KneadingSequence, n=None) -> dict:
+    tree = build_tree(kn, n)
     report = {
         "nu": str(kn),
         "degree": "inf" if kn.degree is INF else kn.degree,
@@ -223,7 +221,7 @@ def _render_classification(report: dict) -> str:
 
 def cmd_classify(args) -> str:
     kn = resolve_input(args)
-    report = classification_report(kn, args.depth, args.max_vertices or 64)
+    report = classification_report(kn, args.depth)
     if args.format == "json":
         import json
 
@@ -257,7 +255,7 @@ def cmd_address(args) -> str:
 
 def cmd_entropy(args) -> str:
     kn = resolve_input(args)
-    tree = build_tree(kn, args.depth, max_points=args.max_vertices or 64)
+    tree = build_tree(kn, args.depth)
     h = core_entropy(tree)
     out = f"{h:.12f}\n"
     if args.matrix:
@@ -287,7 +285,7 @@ def cmd_angle(args) -> str:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --depth, --max-vertices and --max."""
+    """argparse type of --depth and --max."""
     try:
         value = int(text)
     except ValueError:
@@ -298,7 +296,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p, formats=(), max_vertices=True, normalize=True):
+def _add_common(p, formats=(), normalize=True):
     """The input options, and of the others those the subcommand reads.
     Returns the group of input sources, of which a command line takes
     one."""
@@ -311,10 +309,8 @@ def _add_common(p, formats=(), max_vertices=True, normalize=True):
     source.add_argument("--gen", help="builtin generator: staircase, "
                                       "feigenbaum, address=1,2,4, prefix=110100")
     p.add_argument("--depth", type=_positive_int, default=None,
-                   help="stage / growth / generator depth")
-    if max_vertices:
-        p.add_argument("--max-vertices", type=_positive_int, default=None,
-                       help="growth ceiling before truncation (default 64)")
+                   help="path stage; orbit points the tree grows to "
+                        "(default: set by the input); generator length")
     if normalize:
         p.add_argument("--normalize", action="store_true",
                        help="relabel infinite-degree symbols by first occurrence")
@@ -334,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("path", help="precritical points, gaps, Fatou intervals")
-    _add_common(p, ("text", "json"), max_vertices=False)
+    _add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("tree", help="build and export the Hubbard tree")
@@ -346,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("address", help="internal address <-> kneading sequence")
-    source = _add_common(p, max_vertices=False, normalize=False)
+    source = _add_common(p, normalize=False)
     source.add_argument("--from", dest="from_address",
                         help="comma-separated address, e.g. 1,3,4,8")
     p.add_argument("--max", dest="max_entries", type=_positive_int, default=16,

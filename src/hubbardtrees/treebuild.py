@@ -124,6 +124,8 @@ def meet(a: EPSeq, b: EPSeq, c: EPSeq, nu: KneadingSequence) -> EPSeq:
                 raise MeetInconsistency(
                     f"tripod recursion failed to settle within {budget} steps"
                 )
+            # no known input reaches this exit: the truncated meets of
+            # test_meet_budget_headroom use at most half their budget
             return EPSeq(w, None, degree)
 
         ha, hb, hc = a.head, b.head, c.head
@@ -228,7 +230,7 @@ class HubbardTree:
         self.postcritical: Set[EPSeq] = {self.nu}
         if kneading.star_periodic:
             self.postcritical.add(self.crit)
-        # the growth cap that stopped construction; None for a finite tree
+        # the cap, n or half a prefix, that stopped growth; None: finite
         self.truncation: Optional[int] = None
         # the lower sequence whose orbit build_tree inserted, if it did
         self.omega: Optional[EPSeq] = None
@@ -413,16 +415,15 @@ def vertex_order(tree: HubbardTree) -> Dict[EPSeq, int]:
 # building
 
 
-def build_tree(kneading: KneadingSequence, n: Optional[int] = None, *,
-               max_points: int = 64) -> HubbardTree:
-    """The tree spanned by the critical point and orbit points.
+def build_tree(kneading: KneadingSequence, n: Optional[int] = None
+               ) -> HubbardTree:
+    """The tree spanned by the critical point and orbit points 1 to n.
 
-    Auto mode (n=None) grows until the tree provably stabilizes: for a
-    star-periodic sequence of period p that is at n = p - 1; otherwise
-    when the next orbit point already lies on the tree; a truncation
-    ceiling applies to prefix inputs and runaway growth.  Star-periodic
-    trees are decorated with the lower sequence's orbit, whose edges are
-    the Fatou intervals; that lower sequence is kept as ``tree.omega``.
+    Without n the input sets the growth: a star-periodic sequence of
+    period p grows to point p - 1, any other exact sequence to its finite
+    tree, and a prefix to half its length.  Star-periodic trees are
+    decorated with the lower sequence's orbit, whose edges are the Fatou
+    intervals; that lower sequence is kept as ``tree.omega``.
     """
     tree = HubbardTree(kneading)
     seq = kneading.seq
@@ -441,19 +442,20 @@ def build_tree(kneading: KneadingSequence, n: Optional[int] = None, *,
         return tree
 
     if seq.exact:
-        # with n given, every orbit point to n is a vertex and point n + 1
-        # says whether the tree is finite
-        cap = n if n is not None else max_points
+        # with n, every point to n is a vertex and point n + 1 says whether
+        # the tree is finite; without, growth ends at the first point on
+        # the tree, by point len(pre) + len(per), which is point len(pre)
+        cap = n if n is not None else len(seq.pre) + len(seq.per)
         for k in range(1, cap + 1):
             _, how = tree.insert_point(seq.shift(k), postcritical=True)
             if how != "pendant" and n is None:
                 return tree
-        if n is None or tree._walk(seq.shift(n + 1))[0] in ("branch", "at"):
-            tree.truncation = cap
+        if tree._walk(seq.shift(n + 1))[0] in ("branch", "at"):
+            tree.truncation = n
         return tree
 
     # prefix input: insert orbit points while enough symbols remain
-    cap = max(0, min(n if n is not None else max_points, len(seq.pre) // 2))
+    cap = len(seq.pre) // 2 if n is None else max(0, min(n, len(seq.pre) // 2))
     for k in range(1, cap + 1):
         tree.insert_point(seq.shift(k), postcritical=True)
     tree.truncation = cap

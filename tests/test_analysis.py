@@ -193,11 +193,12 @@ def test_classify_requires_finite_tree():
 
 
 def test_branch_points_of_tree_that_stays_truncated():
-    # 76 orbit points, so the auto-mode tree stops at 64, truncated; the
-    # orbit types agree with the finite tree built with max_points=200
-    tree = build_tree(kneading("1010(1111101010010101001010001110110010"
-                               "001000010010000111111001000111111001)"))
-    assert not tree.finite
+    # 76 orbit points, so the tree cut at 64 is truncated; its orbit
+    # types agree with the finite default tree
+    kn = kneading("1010(1111101010010101001010001110110010"
+                  "001000010010000111111001000111111001)")
+    tree = build_tree(kn, 64)
+    assert not tree.finite and build_tree(kn).finite
     kinds = {(bp.orbit.kind, bp.orbit.period, bp.depth_limited)
              for bp in enumerate_branch_points(tree) if bp.orbit}
     assert kinds == {("satellite", 2, True), ("evil", 10, True)}

@@ -350,11 +350,6 @@ CLASSIFY_TEXT = [
      "orbit:      characteristic (1) period 1 arms 3 kind satellite\n"
      "admissible: True  embeddings: 2\n"
      "entropy:    0.419617624991\n"),
-    ("--nu 11(01) --max-vertices 2",
-     "nu:         1(10)  (degree 2, truncated at 2)\n"
-     "bifurcation: not star-periodic\n"
-     "orbit:      characteristic (1) period 1 arms 3 kind satellite\n"
-     "admissible: True  embeddings: 2 (provisional: truncated)\n"),
     ("--nu 1101001 --prefix",
      "nu:         1101001  (degree 2, truncated at 3)\n"
      "bifurcation: not star-periodic\n"
@@ -396,20 +391,29 @@ def _long_preperiodic_words(count, seed=27):
 
 
 def test_classify_long_orbits_on_their_finite_tree(capsys):
-    # The default 64 vertices truncate most of these trees, which are not
-    # closed under the shift; their periodic orbits are classified on the
-    # finite tree of the whole critical orbit, and read as on the finite
-    # tree that --max-vertices 200 builds, but for the provisional flag.
-    # Classified on the truncated tree, 10 1^68 (0) crashed.
+    # Each default tree is finite, however many orbit points it takes.
+    # --depth 64 cuts most of them, which are not closed under the shift;
+    # their periodic orbits are classified on nu's finite tree and read
+    # as on the default tree, but for the provisional flag.  Classified
+    # on the truncated tree, 10 1^68 (0) crashed.
     def lines(argv):
         assert main(argv) == 0, argv
-        return [ln.split(" (provisional")[0]
-                for ln in capsys.readouterr().out.splitlines()
+        return capsys.readouterr().out.splitlines()
+
+    def kept(out):
+        return [ln.split(" (provisional")[0] for ln in out
                 if ln.startswith(("orbit:", "admissible:"))]
 
+    cut = 0
     for nu in _long_preperiodic_words(16) + ["10" + "1" * 68 + "(0)"]:
-        assert (lines(["classify", "--nu", nu])
-                == lines(["classify", "--nu", nu, "--max-vertices", "200"])), nu
+        out = lines(["classify", "--nu", nu])
+        assert out[0].endswith(", finite)"), nu
+        assert out[-1].startswith("entropy:"), nu
+        assert not any("provisional" in ln for ln in out), nu
+        at64 = lines(["classify", "--nu", nu, "--depth", "64"])
+        cut += at64[0].endswith("truncated at 64)")
+        assert kept(out) == kept(at64), nu
+    assert cut >= 10  # so the host tree of a cut tree is covered
 
 
 @pytest.mark.parametrize("nu", ["(10110*)", "(100101*)", "11(01)"])
@@ -599,7 +603,7 @@ def test_errors_are_one_line():
     ["path", "--nu", "(10*)", "--depth", "0"],
     ["tree", "--gen", "staircase", "--depth", "0"],
     ["classify", "--nu", "(10*)", "--depth", "-2"],
-    ["tree", "--nu", "(10*)", "--max-vertices", "0"],
+    ["entropy", "--nu", "(10*)", "--depth", "0"],
     ["address", "--nu", "(10*)", "--max", "0"],
     ["path", "--nu", "(10*)", "--depth", "two"],
 ])
@@ -620,6 +624,10 @@ def test_integer_options_below_one_are_usage_errors(argv, capsys):
     ["address", "--format", "text"],
     ["address", "--max-vertices", "5"],
     ["address", "--normalize"],
+    # --depth is the one growth cap
+    ["tree", "--max-vertices", "5"],
+    ["classify", "--max-vertices", "5"],
+    ["entropy", "--max-vertices", "5"],
 ])
 def test_subcommands_take_only_the_options_they_read(argv, capsys):
     # each of these was parsed and then ignored; the goldens above pin
@@ -649,20 +657,6 @@ def test_generators_without_parameters_reject_them(name, capsys):
     assert capsys.readouterr() == (
         "", f"error: {name} takes no parameters, got 'banana'\n")
     assert main(["tree", "--gen", name, "--depth", "6"]) == 0
-
-
-@pytest.mark.parametrize("command", ["tree", "classify", "entropy"])
-@pytest.mark.parametrize("source", [["--nu", "1011(0)"], ["--gen", "feigenbaum"]])
-def test_depth_and_max_vertices_are_one_choice(command, source, capsys):
-    # --depth overrode --max-vertices: tree --nu "1011(0)" --depth 3
-    # --max-vertices 1 printed the bytes of --depth 3 alone
-    argv = [command, *source, "--depth", "3"]
-    assert main([*argv, "--max-vertices", "64"]) == 2
-    assert capsys.readouterr() == (
-        "", "error: pass --depth or --max-vertices, not both\n")
-    # an omitted --max-vertices is the default 64
-    assert (main([command, *source]), capsys.readouterr()) == (
-        main([command, *source, "--max-vertices", "64"]), capsys.readouterr())
 
 
 def test_empty_address_is_a_bad_address(capsys):

@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from hubbardtrees.symbolic import (
     EPSeq,
     INF,
     STAR,
+    angle_to_kneading,
     diff,
     format_sequence,
     kneading,
@@ -307,6 +310,65 @@ def test_meet_truncated_exits():
         assert meet(*args, kn) is _reference_meet_trunc(*args, kn)
 
 
+def _meet_steps(build):
+    """(steps, budget, maxpre, exact) of every meet that build() makes,
+    read from the walk's own locals as it returns."""
+    code, uses = meet.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            loc = frame.f_locals
+            uses.append((loc["steps"], loc["budget"], loc["maxpre"], loc["exact"]))
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        build()
+    finally:
+        sys.setprofile(old)
+    return uses
+
+
+def test_meet_budget_headroom():
+    # The step budget guards the walk; no answer may depend on it.  Over
+    # star words to period 11, degree-3 angles to n = 6, all ten-letter
+    # prefixes, all degree-3 eight-letter prefixes and the generators to
+    # depth 200, no meet used more than 30% of its budget, and none hit
+    # it.  Each group below holds its worst input.
+    from hubbardtrees import cli
+
+    rng = random.Random(7)
+    exact = [*star_periodic_sequences(8), kneading("(1011111110*)")]
+    classified = [kneading("(12122*)", 3)]
+    classified += [angle_to_kneading(Fraction(k, 3 ** n - 1), 3)
+                   for n in (2, 3, 4) for k in rng.sample(range(1, 3 ** n - 1), 6)]
+    classified += [validate_kneading(parse_prefix(w)) for w in
+                   ["1011110100", "1" + "".join(rng.choice("01") for _ in range(9))]]
+    classified += [validate_kneading(parse_prefix(w, 3)) for w in
+                   ["12112122", "1" + "".join(rng.choice("012") for _ in range(7))]]
+
+    def build_short():
+        for kn in exact:
+            sigma_closure(build_tree(kn))
+        for kn in classified:
+            if not kn.trivial:
+                cli.classification_report(kn)
+        for name in ("staircase", "feigenbaum"):
+            for depth in (8, 24, 64, 100):
+                build_tree(make(name, depth=depth), depth)
+
+    uses = _meet_steps(build_short)
+    assert len(uses) > 5000
+    assert max(steps / budget for steps, budget, _, _ in uses) <= 0.5
+    # On a long preperiod the walk can take 8 steps a letter, as many as
+    # the budget grants: 1 0^m 1 (0) takes 8m + 5 steps of 8m + 104, and
+    # 10 1^68 (0) 349 of 648.  There only the budget's constant part,
+    # 8 lcm + 64, is headroom; pin that part.
+    uses = _meet_steps(lambda: [sigma_closure(build_tree(kneading(w))) for w in
+                                ("1" + "0" * 60 + "1(0)", "1" + "0" * 58 + "111(0)")])
+    assert max(steps - 8 * maxpre for steps, _, maxpre, _ in uses) <= 0
+
+
 def test_meet_does_not_depend_on_how_a_point_is_given():
     # an exact point and a long truncation of it span the same tripod; the
     # walk's budget must leave room for the exact point's period
@@ -516,7 +578,7 @@ def test_walk_tests_identity_at_most_three_times_per_meet(monkeypatch):
     monkeypatch.setattr(treebuild, "meet", counted("meet", meet))
     monkeypatch.setattr(treebuild, "same_point", counted("same_point", same_point))
     monkeypatch.setattr(HubbardTree, "_walk", counted("walk", HubbardTree._walk))
-    build_tree(make("staircase", depth=400), 400, max_points=400)
+    build_tree(make("staircase", depth=400), 400)
     assert calls["walk"] >= 200
     assert calls["same_point"] <= 3 * calls["meet"] + calls["walk"], calls
 
@@ -685,8 +747,7 @@ def test_closure_walks_match_the_fixed_point_scan(monkeypatch):
     kns = _closure_corpus() + kernel_corpus()
     for kn in kns:
         cli.classification_report(kn)
-        cli.classification_report(kn, max_points=3)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             cli.classification_report(kn, n)
         if kn.degree == 2:
             tree = build_tree(kn)
@@ -703,7 +764,7 @@ def test_tree_state_is_its_fields():
     star = kneading("(10110*)")
     trees = [build_tree(star), build_tree(star, 2),
              build_tree(kneading("10(011)")),
-             build_tree(kneading("10111(0)"), max_points=2),
+             build_tree(kneading("10111(0)"), 2),
              build_tree(validate_kneading(parse_prefix("1011011100")))]
     assert [t.truncation for t in trees] == [None, 2, None, 2, 5]
     for t in trees:
