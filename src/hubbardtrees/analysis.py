@@ -405,13 +405,13 @@ _PERRON_BUDGET = 100_000  # power steps per component; 888 suffice to period 12
 _PERRON_BITS = 96  # bits of the smallest entry; 64 flickers near a midpoint
 
 
-def perron_root(matrix) -> float:
+def perron_root(rows: List[List[int]]) -> float:
     """Spectral radius of a nonnegative integer matrix, correctly rounded.
 
-    The matrix is a sequence of rows of ints, such as MarkovData.rows,
-    or a 2-d array.  The spectrum of M is the union of the spectra of the
-    diagonal blocks of its strongly connected components (edge i -> j
-    where M[i][j] > 0), so rho(M) is the maximum over components:
+    Row i of M lists each column j M[i][j] times, as MarkovData.images
+    does.  The spectrum of M is the union of the spectra of the diagonal
+    blocks of its strongly connected components (edge i -> j where
+    M[i][j] > 0), so rho(M) is the maximum over components:
 
     - a component with no internal entry (a vertex without a loop) has
       rho = 0;
@@ -431,13 +431,10 @@ def perron_root(matrix) -> float:
     a defective eigenvalue 1.  A component whose bracket does not round
     to one float within 100,000 power steps raises DepthBudgetExceeded.
     """
-    succ = [[j for j, c in enumerate(row) if c] for row in matrix]
     rho = 0.0
-    for comp in _strong_components(succ):
+    for comp in _strong_components(rows):
         pos = {g: k for k, g in enumerate(comp)}
-        # row k of the block as column indices, each repeated by its count
-        cols = [[pos[j] for j in succ[g] if j in pos
-                 for _ in range(matrix[g][j])] for g in comp]
+        cols = [[pos[j] for j in rows[g] if j in pos] for g in comp]
         sums = {len(c) for c in cols}
         if sums == {0}:
             continue
@@ -517,7 +514,7 @@ def core_entropy(tree: HubbardTree) -> float:
     """log of the spectral radius of the edge transition matrix."""
     if not tree.finite:
         raise TruncatedTree("core entropy requires a finite tree")
-    rho = perron_root(markov_data(tree).rows)
+    rho = perron_root(markov_data(tree).images)
     return math.log(rho) if rho > 1.0 else 0.0
 
 

@@ -9,7 +9,6 @@ root) is presentation only and carries no contract.
 from __future__ import annotations
 
 import json
-from typing import Dict
 
 from .symbolic import INF, format_sequence
 from .treebuild import HubbardTree, vertex_order
@@ -39,22 +38,23 @@ def _kind(tree: HubbardTree, v, fatou_ends: set) -> str:
 
 
 def _nodes_edges(tree: HubbardTree):
-    """Vertex ids, node records and edge records, each Fatou flag once."""
-    order = vertex_order(tree)
-    flagged = [(u, v, tree.is_fatou_edge(u, v)) for u, v in tree.edges()]
+    """Node records and edge records in id order, each Fatou flag once;
+    an edge runs from a vertex's breadth-first parent, "a", to it, "b"."""
+    order, parent = vertex_order(tree)
+    flagged = [(u, v, tree.is_fatou_edge(u, v)) for v, u in parent.items()]
     fatou_ends = {x for u, v, f in flagged if f for x in (u, v)}
     nodes = [{"id": i, "itinerary": format_sequence(v),
               "kind": _kind(tree, v, fatou_ends),
               "depth": 0 if v is tree.nu else v.star_depth()}
-             for v, i in order.items()]  # insertion order is id order
-    edges = sorted((*sorted((order[u], order[v])), f) for u, v, f in flagged)
-    return order, nodes, [{"a": a, "b": b, "fatou": f} for a, b, f in edges]
+             for v, i in order.items()]
+    return nodes, [{"a": order[u], "b": order[v], "fatou": f}
+                   for u, v, f in flagged]
 
 
 def tree_to_json(tree: HubbardTree) -> str:
     """``json.dumps(doc, indent=2) + "\\n"`` for the fixed schema, written
     directly; strings and None still go through ``json.dumps``."""
-    _, nodes, edges = _nodes_edges(tree)
+    nodes, edges = _nodes_edges(tree)
     q = json.dumps
     node = ('    {\n      "id": %d,\n      "itinerary": %s,\n      "kind": %s,\n'
             '      "depth": %s\n    }')
@@ -71,7 +71,7 @@ def tree_to_json(tree: HubbardTree) -> str:
 
 
 def tree_to_dot(tree: HubbardTree) -> str:
-    _, nodes, edges = _nodes_edges(tree)
+    nodes, edges = _nodes_edges(tree)
     lines = ["graph hubbard_tree {"]
     lines.append('  node [shape=circle, fontsize=10];')
     for nd in nodes:
@@ -88,7 +88,7 @@ def tree_to_dot(tree: HubbardTree) -> str:
 
 
 def tree_to_text(tree: HubbardTree) -> str:
-    _, nodes, edges = _nodes_edges(tree)
+    nodes, edges = _nodes_edges(tree)
     meta = _meta(tree)
     lines = [
         f"nu={meta['nu']} degree={meta['degree']} mode={meta['mode']}"
@@ -106,40 +106,33 @@ def tree_to_text(tree: HubbardTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _layout(tree: HubbardTree, order: Dict) -> Dict[int, tuple]:
-    """Layered positions rooted at the critical value; leaves get
-    consecutive x slots, interior nodes the mean of their children."""
-    layers = {tree.nu: 0}
-    children: Dict = {v: [] for v in order}
-    for v in list(order)[1:]:
-        # ids run breadth-first, so a vertex's parent is its least neighbour
-        u = min(tree.adj[v], key=order.__getitem__)
-        layers[v] = layers[u] + 1
-        children[u].append(v)
-
-    xpos: Dict = {}
-    counter = [0]
-
-    def place(v):
-        kids = children[v]
-        if not kids:
-            xpos[v] = float(counter[0])
-            counter[0] += 1
-        else:
-            for k in kids:
-                place(k)
-            xpos[v] = sum(xpos[k] for k in kids) / len(kids)
-
-    place(tree.nu)
-    return {order[v]: (xpos[v], layers[v]) for v in tree.adj}
+def _layout(edges) -> list:
+    """Layered positions by id, rooted at the critical value: leaves get
+    consecutive x slots in depth-first order, interior nodes the mean of
+    their children.  Edges run from parent to child in child id order."""
+    n = len(edges) + 1
+    layers, children = [0] * n, [[] for _ in range(n)]
+    for e in edges:
+        layers[e["b"]] = layers[e["a"]] + 1
+        children[e["a"]].append(e["b"])
+    xpos, slot, stack = [0.0] * n, 0, [0]
+    while stack:  # depth first, children in id order
+        v = stack.pop()
+        stack += reversed(children[v])
+        if not children[v]:
+            xpos[v], slot = float(slot), slot + 1
+    for v in reversed(range(n)):  # a child's id is larger than its parent's
+        if children[v]:
+            xpos[v] = sum(xpos[k] for k in children[v]) / len(children[v])
+    return list(zip(xpos, layers))
 
 
 def tree_to_svg(tree: HubbardTree) -> str:
-    order, nodes, edges = _nodes_edges(tree)
-    pos = _layout(tree, order)
+    nodes, edges = _nodes_edges(tree)
+    pos = _layout(edges)
     step_x, step_y, pad = 110, 80, 50
-    width = int(max(x for x, _ in pos.values()) * step_x) + 2 * pad
-    height = int(max(y for _, y in pos.values()) * step_y) + 2 * pad
+    width = int(max(x for x, _ in pos) * step_x) + 2 * pad
+    height = int(max(y for _, y in pos) * step_y) + 2 * pad
 
     def at(i):
         x, y = pos[i]

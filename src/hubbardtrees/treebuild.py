@@ -389,14 +389,17 @@ class HubbardTree:
         return v, "pendant" if kind in ("branch", "at") else kind
 
 
-def vertex_order(tree: HubbardTree) -> Dict[EPSeq, int]:
-    """Deterministic ids: breadth-first from the critical value, neighbour
-    expansion in lexicographic itinerary order (letters by value, wildcard
-    last)."""
+def vertex_order(tree: HubbardTree
+                 ) -> Tuple[Dict[EPSeq, int], Dict[EPSeq, EPSeq]]:
+    """Deterministic ids, and each vertex's parent, both in id order: ids
+    run breadth-first from nu, neighbour expansion in lexicographic
+    itinerary order (letters by value, wildcard last).  A parent's id is
+    less than its child's, so edge i, oriented (parent, child), is the
+    edge above the vertex with id i + 1."""
     key = functools.cmp_to_key(seq_cmp)
-    order: Dict[EPSeq, int] = {}
+    order: Dict[EPSeq, int] = {tree.nu: 0}
+    parent: Dict[EPSeq, EPSeq] = {}
     queue = [tree.nu]
-    order[tree.nu] = 0
     while queue:
         nxt = []
         for u in queue:
@@ -406,9 +409,10 @@ def vertex_order(tree: HubbardTree) -> Dict[EPSeq, int]:
                 new.sort(key=key)
             for v in new:
                 order[v] = len(order)
+                parent[v] = u
             nxt += new
         queue = nxt
-    return order
+    return order, parent
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +472,18 @@ def build_tree(kneading: KneadingSequence, n: Optional[int] = None
 
 @dataclass
 class MarkovData:
-    """Edge transition counts of a sigma-closed refinement: rows[i][j]
-    counts how often the image of edge i covers edge j."""
+    """The edges of a sigma-closed refinement, numbered as in
+    vertex_order, and images[i], the edges the image of edge i covers."""
 
     tree: HubbardTree
     edge_list: List[Tuple[EPSeq, EPSeq]]
-    rows: List[List[int]]
+    images: List[List[int]]
+
+    @property
+    def rows(self) -> List[List[int]]:
+        """Dense counts: rows[i][j] is how often image i covers edge j."""
+        n = len(self.images)
+        return [[image.count(j) for j in range(n)] for image in self.images]
 
     @property
     def matrix(self):
@@ -515,24 +525,24 @@ def sigma_closure(tree: HubbardTree, points: Sequence[EPSeq] = ()
 
 
 def markov_data(tree: HubbardTree) -> MarkovData:
-    """Refine to a sigma-closed vertex set and assemble the edge
-    transition matrix: each edge maps homeomorphically onto the path
-    between its endpoint images."""
+    """Refine to a sigma-closed vertex set and read off the edge images:
+    each edge maps homeomorphically onto the path between its endpoint
+    images, found by climbing from both toward nu, the end with the
+    larger id first (an ancestor has the smaller id), until they meet."""
     if not tree.finite:
         raise TruncatedTree("Markov data requires a finite tree")
     t = sigma_closure(tree)
-    order = vertex_order(t)
-    edge_list = sorted(
-        (tuple(sorted(e, key=lambda v: order[v])) for e in t.edges()),
-        key=lambda e: (order[e[0]], order[e[1]]),
-    )
-    index = {frozenset(e): i for i, e in enumerate(edge_list)}
-    rows = [[0] * len(edge_list) for _ in edge_list]
+    order, parent = vertex_order(t)
+    edge_list = [(u, v) for v, u in parent.items()]
+    images = []
     for u, v in edge_list:
-        su, sv = u.tail(), v.tail()
-        assert su != sv, "edge endpoints collapsed under sigma"
-        path = t.path_between(su, sv)
-        row = rows[index[frozenset((u, v))]]
-        for x, y in zip(path, path[1:]):
-            row[index[frozenset((x, y))]] += 1
-    return MarkovData(tree=t, edge_list=edge_list, rows=rows)
+        x, y = u.tail(), v.tail()
+        assert x is not y, "edge endpoints collapsed under sigma"
+        image = []
+        while x is not y:
+            if order[x] < order[y]:
+                x, y = y, x
+            image.append(order[x] - 1)  # the edge above x
+            x = parent[x]
+        images.append(image)
+    return MarkovData(tree=t, edge_list=edge_list, images=images)

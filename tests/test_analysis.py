@@ -473,6 +473,13 @@ def _mp_rho(m) -> float:
         return float(k if abs(rho - k) < 1e-20 else rho)
 
 
+def _cols(m):
+    """A dense count matrix as perron_root's rows: row i lists each column
+    j as many times as m[i][j]."""
+    return [[j for j, c in enumerate(row) for _ in range(c)]
+            for row in np.asarray(m).tolist()]
+
+
 def test_perron_root_against_eigvals():
     # perron_root is rho correctly rounded, so it equals the float of
     # the 50-digit value exactly
@@ -481,23 +488,22 @@ def test_perron_root_against_eigvals():
         n = int(rng.integers(1, 7))
         m = rng.integers(0, 3, size=(n, n))
         m = m + np.eye(n, dtype=np.int64)  # row sums >= 1 as in markov data
-        assert perron_root(m.astype(np.int64)) == _mp_rho(m)
+        assert perron_root(_cols(m)) == _mp_rho(m)
     # reducible: zero rows, no added identity
     for _ in range(40):
         n = int(rng.integers(1, 8))
         m = rng.integers(0, 2, size=(n, n)) * rng.integers(0, 2, size=(n, n))
         m[rng.integers(0, n)] = 0
-        assert perron_root(m) == _mp_rho(m)
-    assert perron_root([[1, 1], [0, 1]]) == 1.0
-    assert perron_root(np.zeros((3, 3), dtype=np.int64)) == 0.0
+        assert perron_root(_cols(m)) == _mp_rho(m)
+    assert perron_root(_cols([[1, 1], [0, 1]])) == 1.0
+    assert perron_root(_cols(np.zeros((3, 3), dtype=np.int64))) == 0.0
     # a rho > 1 block over a defective unit block
     m = np.array([[1, 1, 1, 0, 0],
                   [1, 0, 0, 1, 0],
                   [0, 0, 1, 1, 0],
                   [0, 0, 0, 1, 1],
                   [0, 0, 0, 0, 1]])
-    assert perron_root(m) == _mp_rho(m) == float(mpmath.phi)
-    assert perron_root(m.tolist()) == perron_root(m)
+    assert perron_root(_cols(m)) == _mp_rho(m) == float(mpmath.phi)
 
 
 def test_entropy_with_a_widely_spread_perron_vector():
@@ -514,7 +520,7 @@ def test_perron_root_budget_raises(monkeypatch):
 
     monkeypatch.setattr(analysis, "_PERRON_BUDGET", 3)
     with pytest.raises(DepthBudgetExceeded):
-        perron_root(np.array([[1, 1], [1, 0]]))
+        perron_root(_cols([[1, 1], [1, 0]]))
 
 
 def test_entropy_requires_finite_tree():

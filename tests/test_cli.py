@@ -5,6 +5,7 @@ import ast
 import gc
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import random
@@ -956,6 +957,37 @@ def test_benchmark_imports_resolve(script):
             importlib.import_module(f"{module}.{name}")  # a submodule
     from hubbardtrees import MarkovData
     assert isinstance(MarkovData.matrix, property)
+
+
+@pytest.fixture
+def perfbench_checks(monkeypatch):
+    """perfbench/checks.py, loaded by its path with perfbench importable."""
+    here = os.path.join(os.path.dirname(SRC), "perfbench")
+    monkeypatch.syspath_prepend(here)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", os.path.join(here, "checks.py"))
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    import corpus
+    return checks, corpus.Case, corpus.load_reference()
+
+
+def test_benchmark_checks_pass(perfbench_checks, capsys):
+    # the benchmark's own output checks, on a few inputs of each kind
+    checks, Case, ref = perfbench_checks
+    cases = [(checks.check_classify,
+              Case(("classify", "--degree", d, "--nu", w), nu=w, degree=d))
+             for d, w in [("2", "(10*)"), ("2", "(1011101*)"), ("2", "1(0)"),
+                          ("3", "(121*)"), ("3", "(12120*)"),
+                          ("inf", "[|1,-2,1,*]"), ("inf", "[|1,2,3,*]")]]
+    cases.append((checks.check_classify,
+                   Case(("classify", "--nu", "1011011100", "--prefix"))))
+    cases += [(checks.check_tree, Case(("tree", "--nu", w, "--format", "json")))
+              for w in ("(1*)", "(10*)", "(1001101100*)", "(10110110011*)")]
+    for check, case in cases:
+        assert main(list(case.argv)) == 0, case.argv
+        reason = check(case, capsys.readouterr().out, ref)
+        assert reason is None, (case.argv, reason)
 
 
 # -- the public surface -------------------------------------------------------------------------

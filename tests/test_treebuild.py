@@ -6,6 +6,8 @@ import json
 import math
 import random
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -482,7 +484,7 @@ def test_truncated_tree_names_the_periodic_point_it_meets(word, vertices):
     # the walk that ran out of budget named one vertex by a long prefix of
     # the periodic point given here; every other vertex is as it was
     tree = build_tree(validate_kneading(parse_prefix(word)))
-    order = vertex_order(tree)
+    order, _ = vertex_order(tree)
     assert [format_sequence(v) for v in sorted(order, key=order.get)] == vertices.split()
 
 
@@ -1003,6 +1005,22 @@ def test_dot_export():
     assert dot.count(" -- ") == 5
 
 
+def test_svg_exports_a_path_deeper_than_the_recursion_limit():
+    # one vertex per layer; a recursive layout ran out of stack here
+    tree = HubbardTree(kneading("1(0)"))
+    chain = [tree.nu] + [EPSeq(map(int, format(2 * k + 1, "b")), (0,))
+                         for k in range(1, 1200)]
+    tree.adj = {v: [] for v in chain}
+    for u, v in zip(chain, chain[1:]):
+        tree.adj[u].append(v)
+        tree.adj[v].append(u)
+    start = time.perf_counter()
+    svg = tree_to_svg(tree)
+    assert time.perf_counter() - start < 1.0
+    assert svg.count("<circle") == 1200
+    assert f'height="{1199 * 80 + 100}"' in svg
+
+
 def test_svg_and_text_export_smoke():
     t = build_tree(kneading("(10110*)"))
     svg = tree_to_svg(t)
@@ -1073,5 +1091,66 @@ def test_vertex_order_matches_sort_all_reference():
     trees = _export_trees()
     trees += [sigma_closure(t) for t in trees if t.finite]
     for t in trees:
-        assert list(vertex_order(t).items()) == \
+        assert list(vertex_order(t)[0].items()) == \
             list(_reference_vertex_order(t).items()), fs(t.nu)
+
+
+def test_vertex_order_parents_number_the_edges():
+    # edge i, oriented (parent, child), is the edge above vertex i + 1
+    for t in _export_trees():
+        order, parent = vertex_order(t)
+        assert list(parent) == list(order)[1:], fs(t.nu)
+        edges = sorted(tuple(sorted(map(order.get, e))) for e in t.edges())
+        assert edges == [(order[u], order[v]) for v, u in parent.items()]
+
+
+# markov_data as it was while it built dense counts: sorted edges, a
+# frozenset index and one path search per edge.  It is copied verbatim
+# apart from its name, the unpacked vertex_order and what it returns.
+
+
+def _reference_markov_data(tree):
+    t = sigma_closure(tree)
+    order, _ = vertex_order(t)
+    edge_list = sorted(
+        (tuple(sorted(e, key=lambda v: order[v])) for e in t.edges()),
+        key=lambda e: (order[e[0]], order[e[1]]),
+    )
+    index = {frozenset(e): i for i, e in enumerate(edge_list)}
+    rows = [[0] * len(edge_list) for _ in edge_list]
+    for u, v in edge_list:
+        su, sv = u.tail(), v.tail()
+        assert su != sv, "edge endpoints collapsed under sigma"
+        path = t.path_between(su, sv)
+        row = rows[index[frozenset((u, v))]]
+        for x, y in zip(path, path[1:]):
+            row[index[frozenset((x, y))]] += 1
+    return edge_list, rows
+
+
+def _seeded_preperiod(length, seed):
+    """An exact word 1 w (0) with a preperiod of the given length."""
+    rng = random.Random(seed)
+    return "1" + "".join(rng.choice("01") for _ in range(length - 2)) + "1(0)"
+
+
+def test_markov_data_matches_the_path_search_reference():
+    trees = [t for t in _export_trees() if t.finite]
+    trees += [build_tree(kneading(w, d)) for w, d in [
+        ("(121*)", 3), ("(10100*)", 3), ("(12120*)", 3), ("[|1,-2,1,*]", INF)]]
+    trees.append(build_tree(kneading(_seeded_preperiod(150, 150))))
+    for t in trees:
+        md = markov_data(t)
+        assert (md.edge_list, md.rows) == _reference_markov_data(t), fs(t.nu)
+
+
+def test_markov_data_memory_is_linear_in_the_tree():
+    # 555 vertices: dense counts took a traced peak of 2.7 MB here
+    tree = build_tree(kneading(_seeded_preperiod(300, 300)))
+    tracemalloc.start()
+    try:
+        markov_data(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
